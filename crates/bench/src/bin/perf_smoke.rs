@@ -14,7 +14,8 @@
 //!    checkpointing ≤5% of the stage-2 wall) and reproduces the plain
 //!    run's bits;
 //! 4. `collect_tiny` — a reduced factorial `collect()`, exercising the
-//!    parallel experiment layer and the O(k) subsampler;
+//!    parallel experiment layer and the O(k) subsampler; counted in
+//!    `retained_samples` at the plan's thread count;
 //! 5. `engine_events_sharded` — a multi-server world on the sharded
 //!    parallel executor, run once at 1 worker thread and once at the
 //!    host's hardware parallelism; the event counts must match (the
@@ -187,7 +188,9 @@ fn bench_run_pair(seed: u64, duration_ms: u64, ckpt_events: u64, reps: u32) -> R
     }
 }
 
-fn bench_collect(seed: u64, runs_per_config: usize, duration_ms: u64) -> (usize, f64) {
+/// Runs the reduced factorial collection, returning (retained samples,
+/// wall seconds, worker threads).
+fn bench_collect(seed: u64, runs_per_config: usize, duration_ms: u64) -> (usize, f64, usize) {
     let mut plan = CollectionPlan::new(Arc::new(Memcached::default()), 300_000.0);
     plan.runs_per_config = runs_per_config;
     plan.samples_per_run = 2_000;
@@ -199,7 +202,7 @@ fn bench_collect(seed: u64, runs_per_config: usize, duration_ms: u64) -> (usize,
     let dataset = treadmill_inference::collect(&plan);
     let wall = start.elapsed().as_secs_f64();
     assert_eq!(dataset.cells.len(), 16, "factorial collect lost cells");
-    (dataset.total_samples(), wall)
+    (dataset.total_samples(), wall, plan.threads.max(1))
 }
 
 /// Builds a sharded multi-server load test for the parallel stages.
@@ -387,8 +390,17 @@ fn main() {
         "checkpoint overhead {overhead_pct:.1}% exceeds the 5% budget"
     );
 
-    let (samples, collect_wall) = bench_collect(seed, collect_runs, collect_ms);
-    let collect_stage = stage("collect_tiny", "samples", samples as u64, collect_wall, 1, 1);
+    // The unit counts the samples each run keeps after subsampling, not
+    // the simulated responses behind them.
+    let (samples, collect_wall, collect_threads) = bench_collect(seed, collect_runs, collect_ms);
+    let collect_stage = stage(
+        "collect_tiny",
+        "retained_samples",
+        samples as u64,
+        collect_wall,
+        collect_threads as u64,
+        1,
+    );
 
     // Stage 5: the sharded parallel executor. The same seeded world
     // runs at 1 worker and at the host's hardware parallelism; events
@@ -412,37 +424,11 @@ fn main() {
         u64::from(sh_servers),
     );
     let speedup = wall_1 / wall_n;
-    // One-shard tax: the windowless sharded executor wrapping a single
-    // world must cost ≈ nothing over the legacy engine. Best-of-3 on
-    // each path; the same seed produces the same events either way.
-    let solo = sharded_world(seed, 1, 4, 16, 150_000.0, sh_ms, 1);
-    let mut legacy_wall = f64::INFINITY;
-    let mut solo_wall = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let legacy = solo.run(0);
-        legacy_wall = legacy_wall.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        let forced = solo.run_sharded(0);
-        solo_wall = solo_wall.min(t.elapsed().as_secs_f64());
-        assert_eq!(
-            forced.run.events_executed, legacy.run.events_executed,
-            "one-shard sharded run diverged from the legacy engine"
-        );
-    }
-    let solo_overhead_pct = (solo_wall / legacy_wall - 1.0) * 100.0;
     if let Value::Object(obj) = &mut sharded_stage {
         obj.insert("speedup_vs_1".to_string(), Value::Float(speedup));
         obj.insert("wall_1thread_ms".to_string(), Value::Float(wall_1 * 1e3));
-        obj.insert(
-            "one_shard_overhead_pct".to_string(),
-            Value::Float(solo_overhead_pct),
-        );
     }
-    println!(
-        "engine_events_sharded: {speedup:.2}x speedup at {sh_threads} threads vs 1, \
-         {solo_overhead_pct:+.1}% one-shard overhead vs legacy"
-    );
+    println!("engine_events_sharded: {speedup:.2}x speedup at {sh_threads} threads vs 1");
 
     // Stage 6: the scale stage. Full mode builds the paper-scale world:
     // one million connections across 100 single-server shards.

@@ -112,17 +112,20 @@ pub fn audit_invariants(engine: &Engine<ClusterWorld>, max_pending: usize) -> Ve
     findings
 }
 
-/// Audits every shard of a [`ShardedCluster`] (findings prefixed with
-/// the shard index) plus the cross-shard conservation invariant: the
-/// total of messages shards emitted must equal the total injected.
+/// Audits every shard of a [`ShardedCluster`] plus the cross-shard
+/// conservation invariant: the total of messages shards emitted must
+/// equal the total injected. Findings carry a `shard i: ` prefix when
+/// there is more than one shard, matching [`crate::merge_results`]; a
+/// lone shard's findings are exactly its [`audit_invariants`] output.
 pub fn audit_sharded(cluster: &ShardedCluster, max_pending: usize) -> Vec<String> {
     let mut findings = Vec::new();
     let mut sent_total = 0u64;
     let mut received_total = 0u64;
-    for i in 0..cluster.n_shards() {
+    let n = cluster.n_shards();
+    for i in 0..n {
         let engine = cluster.engine(i);
         for f in audit_invariants(&engine, max_pending) {
-            findings.push(format!("shard {i}: {f}"));
+            findings.push(if n == 1 { f } else { format!("shard {i}: {f}") });
         }
         if let Some(ctx) = &engine.world().shard {
             sent_total += ctx.sent;
@@ -209,6 +212,18 @@ mod tests {
         engine.run_to_completion();
         let result = crate::world::extract_result(engine);
         assert_eq!(result.audit_findings.len(), 1, "{:?}", result.audit_findings);
+    }
+
+    #[test]
+    fn one_shard_audit_matches_the_engine_audit() {
+        // A lone shard is the plain world: its findings must be exactly
+        // what `audit_invariants` reports, with no shard prefix.
+        let mut cluster = ShardedCluster::new(vec![builder().build()], 1);
+        cluster.run(5_000);
+        cluster.engine_mut(0).world_mut().debug_skew_outstanding(3);
+        let engine_findings = audit_invariants(&cluster.engine(0), usize::MAX);
+        assert_eq!(engine_findings.len(), 1, "{engine_findings:?}");
+        assert_eq!(audit_sharded(&cluster, usize::MAX), engine_findings);
     }
 
     #[test]

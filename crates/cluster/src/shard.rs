@@ -2,12 +2,15 @@
 //!
 //! A [`ShardedCluster`] owns `n` complete [`ClusterWorld`]s — one
 //! server each, with its own clients, links and event heap — and
-//! advances them on scoped worker threads. Synchronization is
-//! *conservative* (Chandy–Misra style with a global window): the
-//! inter-shard propagation delay is the lookahead `L`, so with `T` the
-//! earliest pending event across all shards, every shard can safely
-//! execute events strictly before `H = T + L` — any message generated
-//! at `t ≥ T` arrives at `t + L ≥ H` and cannot affect the window.
+//! advances them on scoped worker threads. It is the only executor
+//! load tests run on: one server is a one-shard cluster.
+//!
+//! Synchronization is *conservative* (Chandy–Misra style with a global
+//! window): the inter-shard propagation delay is the lookahead `L`, so
+//! with `T` the earliest pending event across all shards, every shard
+//! can safely execute events strictly before `H = T + L` — any message
+//! generated at `t ≥ T` arrives at `t + L ≥ H` and cannot affect the
+//! window.
 //!
 //! Determinism is the headline guarantee: a seeded run is bit-identical
 //! at any thread count, because
@@ -60,30 +63,36 @@ pub struct ShardedCluster {
 
 impl ShardedCluster {
     /// Wraps pre-built shard engines for parallel execution on
-    /// `threads` workers (clamped to `[1, n_shards]`).
+    /// `threads` workers (clamped to `[1, n_shards]`). Engines built by
+    /// an iterator go straight into the cluster's storage. A lone engine
+    /// may be a plain world without a shard context: it then runs
+    /// exactly as [`crate::ClusterBuilder::run`] would run it.
     ///
     /// # Panics
     ///
-    /// Panics if `engines` is empty, any world lacks a shard context,
-    /// or a context's `(index, n_shards)` disagrees with its position.
-    pub fn new(engines: Vec<Engine<ClusterWorld>>, threads: usize) -> Self {
-        assert!(!engines.is_empty(), "sharded cluster needs at least one shard");
-        assert!(engines.len() < usize::from(u16::MAX), "shard count exceeds heap lane space");
+    /// Panics if `engines` is empty, any world of a multi-shard cluster
+    /// lacks a shard context, or a context's `(index, n_shards)`
+    /// disagrees with its position.
+    pub fn new(engines: impl IntoIterator<Item = Engine<ClusterWorld>>, threads: usize) -> Self {
+        let mut shards: Vec<_> = engines.into_iter().map(Mutex::new).collect();
+        let n = shards.len();
+        assert!(n > 0, "sharded cluster needs at least one shard");
+        assert!(n < usize::from(u16::MAX), "shard count exceeds heap lane space");
         let mut windowed = false;
-        for (i, engine) in engines.iter().enumerate() {
+        for (i, shard) in shards.iter_mut().enumerate() {
+            let engine = shard.get_mut().unwrap_or_else(PoisonError::into_inner);
             let ctx = engine.world().shard.as_ref();
-            assert!(ctx.is_some(), "shard {i} world was built without a shard context");
+            assert!(ctx.is_some() || n == 1, "shard {i} world was built without a shard context");
             if let Some(ctx) = ctx {
                 assert_eq!(ctx.index as usize, i, "shard context index mismatch");
-                assert_eq!(ctx.n_shards as usize, engines.len(), "shard count mismatch");
+                assert_eq!(ctx.n_shards as usize, n, "shard count mismatch");
                 if ctx.n_shards > 1 && ctx.remote_every > 0 {
                     windowed = true;
                 }
             }
         }
-        let n = engines.len();
         ShardedCluster {
-            shards: engines.into_iter().map(Mutex::new).collect(),
+            shards,
             threads: threads.clamp(1, n),
             lookahead: INTER_SHARD_PROPAGATION,
             windowed,
@@ -180,6 +189,14 @@ impl ShardedCluster {
         let n = self.shards.len();
         let threads = self.threads;
         let per_shard = (budget / n as u64).saturating_add(1).min(budget);
+        if threads == 1 {
+            // The common one-server case: no scope and no locking.
+            return self
+                .shards
+                .iter_mut()
+                .map(|s| s.get_mut().unwrap_or_else(PoisonError::into_inner).run_events(per_shard))
+                .sum();
+        }
         let executed = AtomicU64::new(0);
         let shards = &self.shards;
         let worker = |w: usize| {
@@ -439,21 +456,29 @@ mod tests {
 
     #[test]
     fn single_shard_matches_legacy_unsharded() {
-        let legacy = ClusterBuilder::new(Arc::new(Memcached::default()))
-            .seed(7)
-            .client(
-                ClientSpec::default(),
-                Box::new(PoissonSource::new(150_000.0, 16)),
-            )
-            .duration(SimDuration::from_millis(25))
-            .run();
+        let builder = || {
+            ClusterBuilder::new(Arc::new(Memcached::default()))
+                .seed(7)
+                .client(
+                    ClientSpec::default(),
+                    Box::new(PoissonSource::new(150_000.0, 16)),
+                )
+                .duration(SimDuration::from_millis(25))
+        };
+        let legacy = builder().run();
         let (sharded, injected) = run_merged(1, 8, 7, 1);
         assert_eq!(injected, 0, "one shard can never cross");
-        assert_eq!(sharded.events_executed, legacy.events_executed);
-        assert_eq!(
-            sharded.user_latencies_us(SimTime::ZERO),
-            legacy.user_latencies_us(SimTime::ZERO)
-        );
+        // The context-free lone world `LoadTest` builds for one server.
+        let mut bare = ShardedCluster::new(vec![builder().build()], 4);
+        bare.run_to_completion();
+        let bare = merge_results(bare.into_results());
+        for r in [&sharded, &bare] {
+            assert_eq!(r.events_executed, legacy.events_executed);
+            assert_eq!(
+                r.user_latencies_us(SimTime::ZERO),
+                legacy.user_latencies_us(SimTime::ZERO)
+            );
+        }
     }
 
     #[test]

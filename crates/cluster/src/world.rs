@@ -209,7 +209,7 @@ pub struct ClusterWorld {
     pub(crate) faults: Option<FaultPlan>,
     /// `None` when the retry policy is disabled.
     policy: Option<RetryPolicy>,
-    /// `None` outside sharded execution — the classic path then runs
+    /// `None` for a lone world (a one-server cluster) — it then runs
     /// bit-identically to every build before sharding existed.
     pub(crate) shard: Option<ShardCtx>,
 }

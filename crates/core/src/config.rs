@@ -128,7 +128,8 @@ pub struct LoadTestConfig {
     pub seed: u64,
     /// Number of simulated servers. Each server forms one shard with
     /// its own replica of the client set; `target_rps` is per-server
-    /// offered load. 1 (the default) keeps the classic unsharded path.
+    /// offered load. 1 (the default) is a single world with no
+    /// cross-shard traffic.
     #[serde(default = "default_servers")]
     pub servers: u32,
     /// Worker threads for sharded execution. 0 (the default) defers to

@@ -1,25 +1,27 @@
 //! Stepped, checkpointable execution of one load-test run.
 //!
-//! [`ResumableRun`] drives the same engine [`LoadTest::run`] would
-//! build, but in bounded event batches, with three extras a long
-//! unattended run needs:
+//! [`ResumableRun`] drives the same [`ShardedCluster`] that
+//! [`LoadTest::run`] builds — one shard per server, a single world when
+//! `servers == 1` — but in bounded event batches, with three extras a
+//! long unattended run needs:
 //!
-//! * **checkpointing** — [`ResumableRun::checkpoint`] captures the
-//!   engine snapshot ([`treadmill_cluster::checkpoint`]) *plus* the
-//!   streaming tail estimators into one sealed envelope;
+//! * **checkpointing** — [`ResumableRun::checkpoint`] captures every
+//!   shard's engine snapshot ([`treadmill_cluster::checkpoint`]) *plus*
+//!   the streaming tail estimators into one sealed envelope,
+//!   `run_seed | n_shards | n × (payload, consumed) | monitor`;
 //!   [`ResumableRun::resume`] restores both, so a run killed at any
-//!   event and resumed from its last checkpoint finishes with a
-//!   bit-identical [`LoadTestReport`];
+//!   round boundary and resumed from its last checkpoint finishes with
+//!   a bit-identical [`LoadTestReport`], at any thread count;
 //! * **live tail monitoring** — constant-memory streaming estimators
 //!   (mean/variance, P² p99, a log-histogram) over the post-warm-up
 //!   user latencies, available mid-run without touching the record
 //!   vectors;
 //! * **auditing** — [`ResumableRun::audit`] runs the cluster invariant
-//!   checks against the live engine, e.g. at every checkpoint.
+//!   checks against the live worlds, e.g. at every checkpoint.
 
-use treadmill_cluster::{checkpoint, merge_results, ClientMachine, ClusterWorld, ShardedCluster};
+use treadmill_cluster::{checkpoint, merge_results, ShardedCluster};
 use treadmill_sim_core::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
-use treadmill_sim_core::{Engine, SimTime};
+use treadmill_sim_core::SimTime;
 use treadmill_stats::{
     LogHistogram, LogHistogramState, P2Quantile, P2State, StreamingStats, StreamingState,
 };
@@ -130,6 +132,9 @@ impl TailMonitor {
         });
 
         let p = r.get_f64()?;
+        if !(p > 0.0 && p < 1.0) {
+            return Err(SnapshotError::Malformed("P2 probability outside (0, 1)"));
+        }
         let mut groups = [[0.0f64; 5]; 4];
         for group in &mut groups {
             for v in group.iter_mut() {
@@ -158,9 +163,13 @@ impl TailMonitor {
         let min = r.get_f64()?;
         let log_min = r.get_f64()?;
         let log_ratio = r.get_f64()?;
-        let n_counts = r.get_u64()?;
-        let n_counts = usize::try_from(n_counts)
-            .map_err(|_| SnapshotError::Malformed("histogram size overflows usize"))?;
+        // The geometry is fixed, so the bucket count is too. Checking it
+        // before allocating keeps a crafted count from aborting the
+        // process (the envelope checksum is not a MAC).
+        let n_counts = LogHistogram::bucket_count(HIST_MIN_US, HIST_MAX_US, HIST_PRECISION);
+        if r.get_u64()? != n_counts as u64 {
+            return Err(SnapshotError::Malformed("histogram bucket count mismatch"));
+        }
         let mut counts = Vec::with_capacity(n_counts);
         for _ in 0..n_counts {
             counts.push(r.get_u64()?);
@@ -185,138 +194,76 @@ impl TailMonitor {
     }
 }
 
-/// The execution substrate behind a [`ResumableRun`]: one legacy
-/// engine, or a sharded parallel cluster (`servers > 1`).
-// One Body exists per run, so the inline-engine variant's size is not
-// worth a heap indirection on the single-server hot path.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum Body {
-    Single {
-        engine: Engine<ClusterWorld>,
-        /// Per-client count of records already folded into the monitor.
-        consumed: Vec<usize>,
-    },
-    Sharded {
-        cluster: ShardedCluster,
-        /// Per-shard, per-client folded-record counts. The monitor is
-        /// fed in shard-then-client order, a pure function of simulated
-        /// state — thread count never changes the observation stream.
-        consumed: Vec<Vec<usize>>,
-    },
-}
-
 /// One load-test run executing in bounded steps with checkpoint/resume.
 #[derive(Debug)]
 pub struct ResumableRun {
     test: LoadTest,
     run_seed: u64,
-    body: Body,
+    cluster: ShardedCluster,
+    /// Per-shard, per-client count of records already folded into the
+    /// monitor. The monitor is fed in shard-then-client order, a pure
+    /// function of simulated state — thread count never changes the
+    /// observation stream.
+    consumed: Vec<Vec<usize>>,
     monitor: TailMonitor,
 }
 
-/// Folds each client's not-yet-seen records into the monitor.
-fn fold_records(
-    monitor: &mut TailMonitor,
-    warmup: SimTime,
-    consumed: &mut [usize],
-    clients: &[ClientMachine],
-) {
-    for (consumed, client) in consumed.iter_mut().zip(clients) {
-        for record in &client.records[*consumed..] {
-            if record.t_generated >= warmup {
-                monitor.observe(record.user_latency_us());
-            }
-        }
-        *consumed = client.records.len();
+/// Reads one shard's folded-record counts, which must cover exactly
+/// its `clients`.
+fn read_consumed(r: &mut SnapshotReader<'_>, clients: usize) -> Result<Vec<usize>, SnapshotError> {
+    if r.get_u64()? != clients as u64 {
+        return Err(SnapshotError::Malformed("client count mismatch"));
     }
-}
-
-fn write_consumed(w: &mut SnapshotWriter, consumed: &[usize]) {
-    w.put_u64(consumed.len() as u64);
-    for &n in consumed {
-        w.put_usize(n);
-    }
-}
-
-fn read_consumed(r: &mut SnapshotReader<'_>) -> Result<Vec<usize>, SnapshotError> {
-    let n = r.get_u64()?;
-    let n = usize::try_from(n).map_err(|_| SnapshotError::Malformed("length overflows usize"))?;
-    let mut consumed = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        consumed.push(r.get_usize()?);
-    }
-    Ok(consumed)
+    (0..clients).map(|_| r.get_usize()).collect()
 }
 
 impl ResumableRun {
-    /// Starts run number `run_index` of `test` from event zero. A test
-    /// with `servers > 1` steps the sharded parallel executor; the
-    /// checkpoint format, monitor, and report are the same either way.
+    /// Starts run number `run_index` of `test` from event zero.
     pub fn new(test: LoadTest, run_index: u64) -> Self {
         let run_seed = test.derive_run_seed(run_index);
-        let body = if test.is_sharded() {
-            let cluster = test.build_sharded(run_seed);
-            let consumed = (0..cluster.n_shards())
-                .map(|i| vec![0; cluster.engine(i).world().clients.len()])
-                .collect();
-            Body::Sharded { cluster, consumed }
-        } else {
-            let engine = test.build_cluster(run_seed);
-            let consumed = vec![0; engine.world().clients.len()];
-            Body::Single { engine, consumed }
-        };
+        let cluster = test.build_sharded(run_seed);
+        let consumed = (0..cluster.n_shards())
+            .map(|i| vec![0; cluster.engine(i).world().clients.len()])
+            .collect();
         ResumableRun {
             test,
             run_seed,
-            body,
+            cluster,
+            consumed,
             monitor: TailMonitor::new(),
         }
     }
 
     /// Executes up to `max_events` events and folds newly completed
     /// records into the tail monitor. Returns the number executed;
-    /// `0` means the run has drained. A sharded run stops at the first
-    /// synchronization-round boundary past the budget, so it may
+    /// `0` means the run has drained. A multi-server run stops at the
+    /// first synchronization-round boundary past the budget, so it may
     /// slightly overshoot `max_events`.
     pub fn step(&mut self, max_events: u64) -> u64 {
-        let executed = match &mut self.body {
-            Body::Single { engine, .. } => engine.run_events(max_events),
-            Body::Sharded { cluster, .. } => cluster.run(max_events),
-        };
-        self.drain_new_records();
-        executed
-    }
-
-    fn drain_new_records(&mut self) {
+        let executed = self.cluster.run(max_events);
         let warmup = SimTime::ZERO + self.test.warmup_window();
-        match &mut self.body {
-            Body::Single { engine, consumed } => {
-                fold_records(&mut self.monitor, warmup, consumed, &engine.world().clients);
-            }
-            Body::Sharded { cluster, consumed } => {
-                for (i, consumed) in consumed.iter_mut().enumerate() {
-                    let engine = cluster.engine(i);
-                    fold_records(&mut self.monitor, warmup, consumed, &engine.world().clients);
+        for (i, consumed) in self.consumed.iter_mut().enumerate() {
+            let engine = self.cluster.engine_mut(i);
+            for (consumed, client) in consumed.iter_mut().zip(&engine.world().clients) {
+                for record in &client.records[*consumed..] {
+                    if record.t_generated >= warmup {
+                        self.monitor.observe(record.user_latency_us());
+                    }
                 }
+                *consumed = client.records.len();
             }
         }
+        executed
     }
 
     /// True once every event has drained.
     pub fn is_finished(&self) -> bool {
-        match &self.body {
-            Body::Single { engine, .. } => engine.pending_events() == 0,
-            Body::Sharded { cluster, .. } => cluster.is_finished(),
-        }
+        self.cluster.is_finished()
     }
 
     /// Events executed so far.
     pub fn events_executed(&self) -> u64 {
-        match &self.body {
-            Body::Single { engine, .. } => engine.events_executed(),
-            Body::Sharded { cluster, .. } => cluster.events_executed(),
-        }
+        self.cluster.events_executed()
     }
 
     /// The live tail monitor.
@@ -324,20 +271,15 @@ impl ResumableRun {
         &self.monitor
     }
 
-    /// Runs the cluster invariant auditor against the live engine(s).
-    /// See [`treadmill_cluster::audit_invariants`]; a sharded run uses
-    /// [`treadmill_cluster::audit_sharded`], which adds the cross-shard
-    /// message-conservation check.
+    /// Runs the cluster invariant auditor against the live world(s);
+    /// see [`treadmill_cluster::audit_sharded`].
     pub fn audit(&self, max_pending: usize) -> Vec<String> {
-        match &self.body {
-            Body::Single { engine, .. } => treadmill_cluster::audit_invariants(engine, max_pending),
-            Body::Sharded { cluster, .. } => treadmill_cluster::audit_sharded(cluster, max_pending),
-        }
+        treadmill_cluster::audit_sharded(&self.cluster, max_pending)
     }
 
-    /// Captures the full run state — engine snapshot plus streaming
+    /// Captures the full run state — engine snapshots plus streaming
     /// estimators — as one sealed, checksummed envelope. The engine
-    /// payload is embedded directly (not double-sealed), so the whole
+    /// payloads are embedded directly (not double-sealed), so the whole
     /// checkpoint costs one serialisation pass and one checksum.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -352,31 +294,22 @@ impl ResumableRun {
     /// checkpoint, which is most of the snapshot wall time.
     pub fn checkpoint_into(&self, buf: &mut Vec<u8>) {
         let scratch = std::mem::take(buf);
-        let hint = match &self.body {
-            Body::Single { engine, .. } => checkpoint::payload_size_hint(engine),
-            Body::Sharded { cluster, .. } => (0..cluster.n_shards())
-                .map(|i| checkpoint::payload_size_hint(&cluster.engine(i)))
-                .sum(),
-        };
+        let n = self.cluster.n_shards();
+        let hint: usize = (0..n)
+            .map(|i| checkpoint::payload_size_hint(&self.cluster.engine(i)))
+            .sum();
         let mut w = SnapshotWriter::sealing_reuse(scratch, hint + 8192);
+        // Envelope: run seed, shard count, one (payload, consumed)
+        // section per shard in shard order, then the monitor. A
+        // checkpoint is only ever taken at a round boundary (outboxes
+        // empty), so per-shard payloads are self-contained.
         w.put_u64(self.run_seed);
-        // Shard count discriminates the envelope shape: 0 = the legacy
-        // single-engine layout, n ≥ 1 = n (payload, consumed) sections
-        // in shard order. A sharded checkpoint is only ever taken at a
-        // round boundary (outboxes empty), so per-shard payloads are
-        // self-contained.
-        match &self.body {
-            Body::Single { engine, consumed } => {
-                w.put_u32(0);
-                checkpoint::write_payload(engine, &mut w);
-                write_consumed(&mut w, consumed);
-            }
-            Body::Sharded { cluster, consumed } => {
-                w.put_u32(u32::try_from(cluster.n_shards()).unwrap_or(u32::MAX));
-                for (i, consumed) in consumed.iter().enumerate() {
-                    checkpoint::write_payload(&cluster.engine(i), &mut w);
-                    write_consumed(&mut w, consumed);
-                }
+        w.put_u32(u32::try_from(n).unwrap_or(u32::MAX));
+        for (i, consumed) in self.consumed.iter().enumerate() {
+            checkpoint::write_payload(&self.cluster.engine(i), &mut w);
+            w.put_u64(consumed.len() as u64);
+            for &count in consumed {
+                w.put_usize(count);
             }
         }
         self.monitor.write(&mut w);
@@ -401,43 +334,24 @@ impl ResumableRun {
                 "checkpoint was taken under a different run seed",
             ));
         }
-        let n_shards = r.get_u32()?;
-        let body = if n_shards == 0 {
-            if test.is_sharded() {
-                return Err(SnapshotError::Malformed(
-                    "unsharded checkpoint for a sharded configuration",
-                ));
-            }
-            let mut engine = test.build_cluster(run_seed);
-            checkpoint::read_payload(&mut engine, &mut r)?;
-            let consumed = read_consumed(&mut r)?;
-            if consumed.len() != engine.world().clients.len() {
-                return Err(SnapshotError::Malformed("client count mismatch"));
-            }
-            Body::Single { engine, consumed }
-        } else {
-            if !test.is_sharded() || u64::from(n_shards) != u64::from(test.server_count()) {
-                return Err(SnapshotError::Malformed("shard count mismatch"));
-            }
-            let mut cluster = test.build_sharded(run_seed);
-            let mut consumed = Vec::with_capacity(cluster.n_shards());
-            for i in 0..cluster.n_shards() {
+        let mut cluster = test.build_sharded(run_seed);
+        if u64::from(r.get_u32()?) != cluster.n_shards() as u64 {
+            return Err(SnapshotError::Malformed("shard count mismatch"));
+        }
+        let consumed = (0..cluster.n_shards())
+            .map(|i| {
                 let engine = cluster.engine_mut(i);
                 checkpoint::read_payload(engine, &mut r)?;
-                let c = read_consumed(&mut r)?;
-                if c.len() != engine.world().clients.len() {
-                    return Err(SnapshotError::Malformed("client count mismatch"));
-                }
-                consumed.push(c);
-            }
-            Body::Sharded { cluster, consumed }
-        };
+                read_consumed(&mut r, engine.world().clients.len())
+            })
+            .collect::<Result<Vec<_>, _>>()?;
         let monitor = TailMonitor::read(&mut r)?;
         r.finish()?;
         Ok(ResumableRun {
             test,
             run_seed,
-            body,
+            cluster,
+            consumed,
             monitor,
         })
     }
@@ -445,18 +359,10 @@ impl ResumableRun {
     /// Drains the remaining events and assembles the report —
     /// bit-identical to what `test.run(run_index)` would have produced
     /// in one uninterrupted execution.
-    pub fn finish(self) -> LoadTestReport {
-        let ResumableRun { test, body, .. } = self;
-        match body {
-            Body::Single { mut engine, .. } => {
-                engine.run_to_completion();
-                test.report_from_result(treadmill_cluster::extract_result(engine))
-            }
-            Body::Sharded { mut cluster, .. } => {
-                cluster.run_to_completion();
-                test.report_from_result(merge_results(cluster.into_results()))
-            }
-        }
+    pub fn finish(mut self) -> LoadTestReport {
+        self.cluster.run_to_completion();
+        self.test
+            .report_from_result(merge_results(self.cluster.into_results()))
     }
 }
 
@@ -582,15 +488,49 @@ mod tests {
     }
 
     #[test]
-    fn sharded_checkpoint_rejected_by_unsharded_config() {
+    fn checkpoint_rejected_by_other_server_count() {
         let mut run = ResumableRun::new(sharded_test(1), 0);
         run.step(10_000);
         let bytes = run.checkpoint();
-        let unsharded = sharded_test(1).servers(1);
-        assert!(matches!(
-            ResumableRun::resume(unsharded, 0, &bytes),
-            Err(SnapshotError::Malformed(_))
-        ));
+        for servers in [1, 2] {
+            assert!(matches!(
+                ResumableRun::resume(sharded_test(1).servers(servers), 0, &bytes),
+                Err(SnapshotError::Malformed(_))
+            ));
+        }
+    }
+
+    /// A monitor section up to the histogram's bucket count: empty
+    /// stats, a P² estimator for `p`, then `n_counts`.
+    fn crafted_monitor(p: f64, n_counts: u64) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.put_u64(0);
+        for _ in 0..4 {
+            w.put_f64(0.0);
+        }
+        w.put_f64(p);
+        for _ in 0..20 {
+            w.put_f64(0.0);
+        }
+        w.put_usize(0);
+        w.put_u64(0);
+        for _ in 0..3 {
+            w.put_f64(0.0);
+        }
+        w.put_u64(n_counts);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn oversized_histogram_count_is_rejected_before_allocating() {
+        // A histogram claiming 2^40 buckets must be refused rather than
+        // reserved (an allocation failure aborts the process).
+        for bytes in [crafted_monitor(0.99, 1 << 40), crafted_monitor(7.0, 1)] {
+            assert!(matches!(
+                TailMonitor::read(&mut SnapshotReader::new(&bytes)),
+                Err(SnapshotError::Malformed(_))
+            ));
+        }
     }
 
     #[test]

@@ -160,8 +160,8 @@ impl LoadTest {
 
     /// Number of simulated servers. Each server forms one shard with
     /// its own replica of the client set, so `target_rps` is offered
-    /// load *per server*. 1 (the default) keeps the classic unsharded
-    /// engine.
+    /// load *per server*. Every count runs on the same sharded executor;
+    /// 1 (the default) is a single world with no cross-shard traffic.
     pub fn servers(mut self, servers: u32) -> Self {
         assert!(servers > 0, "need at least one server");
         self.servers = servers;
@@ -204,23 +204,12 @@ impl LoadTest {
         SeedStream::new(self.seed).derive("run", run_index)
     }
 
-    /// Builds the configured cluster engine for one run, without
-    /// executing it — the entry point for stepped/resumable execution.
-    /// `LoadTest::run_seeded` is exactly
-    /// `extract_result(build_cluster(seed) → run_to_completion)` fed
-    /// through [`LoadTest::report_from_result`], so a stepped run that
-    /// ends in the same engine state produces a bit-identical report.
-    pub(crate) fn build_cluster(
-        &self,
-        run_seed: u64,
-    ) -> treadmill_sim_core::Engine<treadmill_cluster::ClusterWorld> {
-        self.build_world(run_seed, None)
-    }
-
     /// Builds one shard's world: a full server with its own replica of
-    /// the client set. Shard 0 reuses the run seed verbatim so a
-    /// one-shard sharded run is bit-identical to the legacy engine;
-    /// shard `i > 0` draws an independent stream from the run seed.
+    /// the client set. Shard 0 reuses the run seed verbatim; shard
+    /// `i > 0` draws an independent stream from the run seed. Only a
+    /// multi-server world carries a shard context, so a one-server run
+    /// is exactly the plain [`ClusterBuilder`] world, checkpoint payload
+    /// layout included.
     fn build_shard_engine(
         &self,
         run_seed: u64,
@@ -231,25 +220,17 @@ impl LoadTest {
         } else {
             SeedStream::new(run_seed).derive("shard", u64::from(index))
         };
-        self.build_world(shard_seed, Some((index, self.servers, self.remote_every)))
-    }
-
-    fn build_world(
-        &self,
-        seed: u64,
-        shard: Option<(u32, u32, u32)>,
-    ) -> treadmill_sim_core::Engine<treadmill_cluster::ClusterWorld> {
         let per_client_rate = self.target_rps / self.clients as f64;
         let mut builder = ClusterBuilder::new(Arc::clone(&self.workload))
             .hardware(self.hardware)
             .server_spec(self.server_spec.clone())
             .network_spec(self.network_spec.clone())
-            .seed(seed)
+            .seed(shard_seed)
             .duration(self.duration)
             .faults(self.fault_spec)
             .retry_policy(self.retry_policy);
-        if let Some((index, n_shards, remote_every)) = shard {
-            builder = builder.shard(index, n_shards, remote_every);
+        if self.servers > 1 {
+            builder = builder.shard(index, self.servers, self.remote_every);
         }
         for _ in 0..self.clients {
             let mut spec = self.client_spec.clone();
@@ -267,19 +248,13 @@ impl LoadTest {
         builder.build()
     }
 
-    /// Whether this test runs on the sharded parallel executor.
-    pub(crate) fn is_sharded(&self) -> bool {
-        self.servers > 1
-    }
-
-    /// The configured server (= shard) count.
-    pub(crate) fn server_count(&self) -> u32 {
-        self.servers
-    }
-
     /// Resolved worker-thread count: the explicit `threads` setting,
-    /// else the `TML_THREADS` environment variable, else 1.
+    /// else the `TML_THREADS` environment variable, else 1. One server
+    /// has one shard to run, so it never needs more than one worker.
     pub(crate) fn effective_threads(&self) -> usize {
+        if self.servers == 1 {
+            return 1;
+        }
         if self.threads > 0 {
             return self.threads as usize;
         }
@@ -290,35 +265,22 @@ impl LoadTest {
             .unwrap_or(1)
     }
 
-    /// Builds the sharded cluster for one run without executing it —
-    /// the entry point for stepped/resumable sharded execution.
+    /// Builds the cluster for one run without executing it — the entry
+    /// point for stepped/resumable execution. [`LoadTest::run_seeded`]
+    /// is exactly this cluster run to completion and fed through
+    /// [`LoadTest::report_from_result`], so a stepped run that ends in
+    /// the same state produces a bit-identical report.
     pub(crate) fn build_sharded(&self, run_seed: u64) -> ShardedCluster {
-        let engines = (0..self.servers)
-            .map(|i| self.build_shard_engine(run_seed, i))
-            .collect();
+        let engines = (0..self.servers).map(|i| self.build_shard_engine(run_seed, i));
         ShardedCluster::new(engines, self.effective_threads())
-    }
-
-    /// Executes run number `run_index` on the sharded executor
-    /// regardless of the `servers` setting (a one-server sharded run
-    /// is bit-identical to [`LoadTest::run`]).
-    pub fn run_sharded(&self, run_index: u64) -> LoadTestReport {
-        let mut cluster = self.build_sharded(self.derive_run_seed(run_index));
-        cluster.run_to_completion();
-        self.report_from_result(merge_results(cluster.into_results()))
     }
 
     /// Executes a run with an explicit cluster seed (used by
     /// [`LoadTest::run_robust`] to draw fresh re-run seeds).
     fn run_seeded(&self, run_seed: u64) -> LoadTestReport {
-        if self.is_sharded() {
-            let mut cluster = self.build_sharded(run_seed);
-            cluster.run_to_completion();
-            return self.report_from_result(merge_results(cluster.into_results()));
-        }
-        let mut engine = self.build_cluster(run_seed);
-        engine.run_to_completion();
-        self.report_from_result(treadmill_cluster::extract_result(engine))
+        let mut cluster = self.build_sharded(run_seed);
+        cluster.run_to_completion();
+        self.report_from_result(merge_results(cluster.into_results()))
     }
 
     /// Assembles the operator-facing report from a finished run. Pure
@@ -373,7 +335,7 @@ impl LoadTest {
         let mut attempt = 0u32;
         loop {
             let run_seed = if attempt == 0 {
-                SeedStream::new(self.seed).derive("run", run_index)
+                self.derive_run_seed(run_index)
             } else {
                 SeedStream::new(self.seed)
                     .child("rerun", run_index)

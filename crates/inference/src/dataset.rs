@@ -10,8 +10,7 @@
 
 // tml-lint: allow(DET001, subsample() uses the map for keyed displaced-index lookups only; see justification at the construction site)
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -137,33 +136,14 @@ pub fn collect(plan: &CollectionPlan) -> Dataset {
     let mut order_rng = SeedStream::new(plan.seed).stream("experiment-order", 0);
     jobs.shuffle(&mut order_rng);
 
-    // One pre-sized slot per job: each experiment writes its own
-    // `OnceLock`, so worker threads never serialize on a shared lock.
-    let slots: Vec<OnceLock<Vec<f64>>> =
-        (0..16 * plan.runs_per_config).map(|_| OnceLock::new()).collect();
-    let next_job = AtomicUsize::new(0);
-    let jobs = &jobs;
-    let slots_ref = &slots;
-
-    std::thread::scope(|scope| {
-        for _ in 0..plan.threads.max(1) {
-            scope.spawn(|| loop {
-                let idx = next_job.fetch_add(1, Ordering::Relaxed);
-                if idx >= jobs.len() {
-                    break;
-                }
-                let (config_idx, rep) = jobs[idx];
-                let samples = run_one_experiment(plan, config_idx, rep);
-                slots_ref[config_idx * plan.runs_per_config + rep]
-                    .set(samples)
-                    .expect("each job owns exactly one slot");
-            });
-        }
+    let samples = crate::pool::run_indexed(jobs.len(), plan.threads, |j| {
+        let (config_idx, rep) = jobs[j];
+        run_one_experiment(plan, config_idx, rep)
     });
-
-    let mut filled = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().expect("every job slot filled"));
+    // Back from shuffled to canonical (config, repetition) order.
+    let mut done: Vec<((usize, usize), Vec<f64>)> = jobs.into_iter().zip(samples).collect();
+    done.sort_unstable_by_key(|(job, _)| *job);
+    let mut filled = done.into_iter().map(|(_, samples)| samples);
     let cells = (0..16)
         .map(|config_idx| {
             let runs: Vec<Vec<f64>> = filled.by_ref().take(plan.runs_per_config).collect();

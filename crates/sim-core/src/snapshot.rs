@@ -32,7 +32,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"TMLS";
 
 /// Current snapshot format version. Bump on any layout change; readers
 /// reject other versions rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Errors surfaced while opening or decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -43,26 +43,33 @@ impl LogHistogram {
     ///
     /// Panics if `min <= 0`, `max <= min`, or `precision` outside
     /// `(0, 1)`.
-    // Bucket count comes from a ceil()ed log ratio of validated
-    // positive bounds; truncation to usize is the intent.
-    #[allow(clippy::cast_possible_truncation)]
     pub fn new(min: f64, max: f64, precision: f64) -> Self {
         assert!(min > 0.0, "log histogram needs a positive minimum");
         assert!(max > min, "max must exceed min");
         assert!(precision > 0.0 && precision < 1.0, "precision outside (0, 1)");
         let ratio = 1.0 + precision;
-        let buckets = ((max / min).ln() / ratio.ln()).ceil() as usize + 1;
         LogHistogram {
             min,
             log_min: min.ln(),
             log_ratio: ratio.ln(),
-            counts: vec![0; buckets],
+            counts: vec![0; Self::bucket_count(min, max, precision)],
             underflow: 0,
             overflow: 0,
             total: 0,
             sum: 0.0,
             max_seen: f64::NEG_INFINITY,
         }
+    }
+
+    /// Number of buckets a histogram built by [`LogHistogram::new`]
+    /// with these parameters holds — the length a restored
+    /// [`LogHistogramState::counts`] must have. Meaningful only for
+    /// parameters `new` accepts.
+    // For those, the ceil()ed log ratio is a small positive number;
+    // truncation to usize is the intent.
+    #[allow(clippy::cast_possible_truncation)]
+    pub fn bucket_count(min: f64, max: f64, precision: f64) -> usize {
+        ((max / min).ln() / (1.0 + precision).ln()).ceil() as usize + 1
     }
 
     // Log-bucket index truncates toward zero; out-of-range indices are

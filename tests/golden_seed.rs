@@ -149,21 +149,6 @@ fn sharded_run_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn one_server_sharded_run_matches_legacy_golden_bits() {
-    // A forced one-shard sharded run reuses the run seed verbatim and
-    // routes nothing across shards, so it must land on the exact same
-    // pinned bits as the legacy unsharded engine.
-    let report = golden_test().run_sharded(0);
-    let agg = &report.aggregated;
-    assert_eq!(agg.p50.to_bits(), 0x404dd74f1448d80b);
-    assert_eq!(agg.p99.to_bits(), 0x4061dba25512ec6a);
-    assert_eq!(agg.max.to_bits(), 0x40768db645a1cac1);
-    assert_eq!(agg.count, 22_378);
-    assert_eq!(report.run.total_responses(), 29_839);
-    assert_eq!(report.run.events_executed, 298_547);
-}
-
-#[test]
 fn threshold_zero_screened_sweep_matches_full_factorial_bytes() {
     use std::fs;
     use treadmill::core::{
