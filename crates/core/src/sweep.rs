@@ -142,7 +142,8 @@ pub struct SweepOptions {
 }
 
 /// The default checkpoint interval, sized so checkpointing costs a few
-/// percent of a typical cell (see the `perf_smoke` checkpoint stage).
+/// percent of a typical cell (`tests/checkpoint_budget.rs` holds it
+/// to at most 5%).
 pub const DEFAULT_CKPT_EVENTS: u64 = 1_000_000;
 
 impl Default for SweepOptions {

@@ -176,7 +176,7 @@ treadmill-core = 3
 \"crates/inference/src/analytic.rs\" = 0  # pinned panic-free
 
 [grandfathered]
-\"DET002:crates/bench/src/bin/perf_smoke.rs\" = 3
+\"DET002:crates/bench/src/bin/fig02.rs\" = 3
 ";
         let b = parse(text).expect("parses");
         assert_eq!(b.panic_budget.get("treadmill-stats"), Some(&12));
@@ -187,7 +187,7 @@ treadmill-core = 3
         );
         assert_eq!(
             b.grandfathered
-                .get("DET002:crates/bench/src/bin/perf_smoke.rs"),
+                .get("DET002:crates/bench/src/bin/fig02.rs"),
             Some(&3)
         );
     }

@@ -4,8 +4,11 @@
 //! finding, malformed suppression, or baseline ratchet mismatch
 //! anywhere in the workspace fails this test. It is what makes
 //! nondeterminism a merge blocker instead of a golden-test postmortem.
+//! The scan must also finish in under 2 s, so the lint stays an
+//! interactive pre-commit habit rather than a CI-only tax.
 
 use std::path::Path;
+use std::time::Instant;
 
 use treadmill_lint::{analyze_workspace, baseline};
 
@@ -19,7 +22,15 @@ fn workspace_has_no_unsuppressed_findings() {
         .expect("lint-baseline.toml is checked in at the workspace root");
     let baseline = baseline::parse(&baseline_text).expect("baseline parses");
 
+    // Same entry point as `tml-lint --check`, timed end to end: walk,
+    // scan, parse, call graph, reachability, reconcile.
+    let start = Instant::now();
     let analysis = analyze_workspace(&root, &baseline).expect("scan succeeds");
+    let wall = start.elapsed().as_secs_f64();
+    assert!(
+        wall < 2.0,
+        "workspace scan took {wall:.2}s; the 2s interactivity budget is blown"
+    );
 
     assert!(
         analysis.files_scanned > 100,

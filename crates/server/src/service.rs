@@ -688,6 +688,14 @@ fn handle_artifact(
             &bytes,
             &[],
         ),
+        // A finished job that never wrote this artifact: a plain sweep
+        // has no factorial.tsv, a screened one no attribution.tsv.
+        Err(e) if e.kind() == io::ErrorKind::NotFound => error_response(
+            stream,
+            404,
+            "no-artifact",
+            &format!("this experiment does not produce {name}"),
+        ),
         Err(e) => error_response(stream, 500, "artifact", &e.to_string()),
     }
 }

@@ -174,6 +174,11 @@ fn submit_runs_to_done_and_serves_artifacts() {
         assert_eq!(resp.body, on_disk, "{route} differs from {file} on disk");
     }
 
+    // A plain sweep writes no factorial.tsv: typed 404, not a 500.
+    let resp = get(&addr, &format!("/experiments/{id}/factorial"));
+    assert_eq!(resp.status, 404, "{}", resp.text());
+    assert!(resp.text().contains("no-artifact"), "{}", resp.text());
+
     // The events stream is chunked and terminates with the sentinel.
     let resp = get(&addr, &format!("/experiments/{id}/events"));
     assert_eq!(resp.status, 200);
@@ -223,6 +228,11 @@ fn screened_spec_runs_two_stage_sweep_and_serves_screen_artifacts() {
         .count();
     assert_eq!(simulated, flagged, "{factorial}\n{screen}");
     assert!((1..16).contains(&simulated), "screen must drop some cells: {screen}");
+
+    // A screened spec writes no attribution.tsv: typed 404, not a 500.
+    let resp = get(&addr, &format!("/experiments/{id}/attribution"));
+    assert_eq!(resp.status, 404, "{}", resp.text());
+    assert!(resp.text().contains("no-artifact"), "{}", resp.text());
 
     // The progress stream narrates the two stages.
     let events = get(&addr, &format!("/experiments/{id}/events")).text();
