@@ -102,6 +102,32 @@ impl ClientMachine {
             .departure
     }
 
+    /// Records this client is expected to complete when sending for
+    /// `window`: its source's rate × the window plus a 4σ Poisson
+    /// margin, or 0 for a source without a fixed rate.
+    pub(crate) fn expected_records(&self, window: SimDuration) -> usize {
+        let Some(rate) = self.source.rate_rps() else {
+            return 0;
+        };
+        let mean = (rate * window.as_secs_f64()).max(0.0);
+        // Saturating float-to-int conversion of a non-negative count.
+        #[allow(clippy::cast_possible_truncation)]
+        let expected = (mean + 4.0 * mean.sqrt()).ceil() as usize;
+        expected
+    }
+
+    /// Appends a completed record. The buffer's first growth reserves
+    /// [`Self::expected_records`] at once instead of doubling its way
+    /// there, which keeps a long run's record buffer near its final
+    /// size rather than up to twice it. Reserving only on the first
+    /// record leaves short-lived worlds (built, never run) cheap.
+    pub(crate) fn push_record(&mut self, record: ResponseRecord, window: SimDuration) {
+        if self.records.capacity() == 0 {
+            self.records.reserve_exact(self.expected_records(window));
+        }
+        self.records.push(record);
+    }
+
     /// Requests sent so far.
     pub fn sent(&self) -> u64 {
         self.sent

@@ -53,6 +53,13 @@ pub trait TrafficSource: fmt::Debug + Send {
 
     /// Restores state captured by [`TrafficSource::checkpoint_word`].
     fn restore_checkpoint_word(&mut self, _word: u64) {}
+
+    /// The mean send rate in requests per second, for sources that
+    /// have a fixed one. It sizes the client's record buffer up front;
+    /// `None` (the default) leaves the buffer to grow by doubling.
+    fn rate_rps(&self) -> Option<f64> {
+        None
+    }
 }
 
 /// A minimal open-loop Poisson source: exponential inter-arrivals at a
@@ -126,6 +133,10 @@ impl TrafficSource for PoissonSource {
         _rng: &mut dyn RngCore,
     ) -> Option<SendOrder> {
         None
+    }
+
+    fn rate_rps(&self) -> Option<f64> {
+        Some(1e9 / self.mean_gap_ns)
     }
 
     fn checkpoint_word(&self) -> u64 {

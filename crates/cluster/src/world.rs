@@ -215,6 +215,12 @@ pub struct ClusterWorld {
 }
 
 impl ClusterWorld {
+    /// How long the clients send: the window a client's expected
+    /// record count is taken over.
+    pub(crate) fn sending_window(&self) -> SimDuration {
+        self.stop_sending_at.duration_since(SimTime::ZERO)
+    }
+
     /// The per-run placement state (diagnostics).
     pub fn run_state(&self) -> &RunState {
         &self.run_state
@@ -619,9 +625,8 @@ impl World for ClusterWorld {
                     return;
                 }
                 self.outstanding -= 1;
-                self.clients[ci]
-                    .records
-                    .push(ResponseRecord::from_request(&req));
+                let window = self.sending_window();
+                self.clients[ci].push_record(ResponseRecord::from_request(&req), window);
                 let next = {
                     let c = &mut self.clients[ci];
                     c.source.on_response(req.conn, now, &mut c.rng)
@@ -1379,6 +1384,44 @@ mod tests {
             .run();
         assert!(!result.outstanding.is_empty());
         assert!(result.outstanding.iter().all(|&(_, n)| n >= 1));
+    }
+
+    #[test]
+    fn open_loop_record_buffer_grows_at_most_once() {
+        let mut engine = ClusterBuilder::new(Arc::new(Memcached::default()))
+            .seed(8)
+            .client(
+                ClientSpec::default(),
+                Box::new(PoissonSource::new(60_000.0, 8)),
+            )
+            .client(
+                ClientSpec::default(),
+                Box::new(PoissonSource::new(90_000.0, 8)),
+            )
+            .duration(SimDuration::from_millis(40))
+            .build();
+        let mut capacity = vec![0; 2];
+        let mut growths = vec![0; 2];
+        while engine.run_events(1) > 0 {
+            for (i, client) in engine.world().clients.iter().enumerate() {
+                if client.records.capacity() != capacity[i] {
+                    capacity[i] = client.records.capacity();
+                    growths[i] += 1;
+                }
+            }
+        }
+        let records: Vec<usize> = engine
+            .world()
+            .clients
+            .iter()
+            .map(|c| c.records.len())
+            .collect();
+        assert!(records.iter().all(|&n| n > 2_000), "{records:?}");
+        assert_eq!(
+            growths,
+            vec![1, 1],
+            "capacities {capacity:?} for {records:?} records"
+        );
     }
 
     #[test]

@@ -69,6 +69,10 @@ impl TrafficSource for OpenLoopSource {
         None // open loop: responses never gate sends
     }
 
+    fn rate_rps(&self) -> Option<f64> {
+        Some(self.process.rate_rps())
+    }
+
     fn checkpoint_word(&self) -> u64 {
         u64::from(self.next_conn)
     }
@@ -218,6 +222,10 @@ impl TrafficSource for RateLimitedClosedLoopSource {
             at: slot.max(now),
             conn,
         })
+    }
+
+    fn rate_rps(&self) -> Option<f64> {
+        Some(self.process.rate_rps())
     }
 
     fn checkpoint_word(&self) -> u64 {

@@ -51,6 +51,7 @@ mod instance;
 mod interarrival;
 pub mod omission;
 mod phases;
+pub mod pool;
 pub mod report;
 mod resumable;
 mod runner;

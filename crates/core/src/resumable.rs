@@ -19,8 +19,12 @@
 //! * **auditing** — [`ResumableRun::audit`] runs the cluster invariant
 //!   checks against the live worlds, e.g. at every checkpoint.
 
+use std::io;
+
 use treadmill_cluster::{checkpoint, merge_results, ShardedCluster};
-use treadmill_sim_core::snapshot::{self, SnapshotError, SnapshotReader, SnapshotWriter};
+use treadmill_sim_core::snapshot::{
+    self, SnapshotError, SnapshotReader, SnapshotSink, SnapshotWriter,
+};
 use treadmill_sim_core::SimTime;
 use treadmill_stats::{
     LogHistogram, LogHistogramState, P2Quantile, P2State, StreamingStats, StreamingState,
@@ -86,7 +90,7 @@ impl TailMonitor {
         self.histogram.quantile(p)
     }
 
-    fn write(&self, w: &mut SnapshotWriter) {
+    fn write(&self, w: &mut SnapshotWriter<'_>) {
         let s = self.stats.state();
         w.put_u64(s.count);
         w.put_f64(s.mean);
@@ -294,26 +298,43 @@ impl ResumableRun {
     /// checkpoint, which is most of the snapshot wall time.
     pub fn checkpoint_into(&self, buf: &mut Vec<u8>) {
         let scratch = std::mem::take(buf);
-        let n = self.cluster.n_shards();
-        let hint: usize = (0..n)
+        let hint: usize = (0..self.cluster.n_shards())
             .map(|i| checkpoint::payload_size_hint(&self.cluster.engine(i)))
             .sum();
         let mut w = SnapshotWriter::sealing_reuse(scratch, hint + 8192);
-        // Envelope: run seed, shard count, one (payload, consumed)
-        // section per shard in shard order, then the monitor. A
-        // checkpoint is only ever taken at a round boundary (outboxes
-        // empty), so per-shard payloads are self-contained.
+        self.encode(&mut w);
+        *buf = w.into_sealed();
+    }
+
+    /// Streams the same envelope [`ResumableRun::checkpoint_into`]
+    /// builds straight into `sink`, through a bounded staging buffer,
+    /// so a checkpoint never holds the whole snapshot in memory.
+    /// Returns the bytes written; the caller syncs the sink.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sink's first write or seek error.
+    pub fn checkpoint_to(&self, sink: &mut dyn SnapshotSink) -> io::Result<u64> {
+        let mut w = SnapshotWriter::streaming(sink)?;
+        self.encode(&mut w);
+        w.finish_streamed()
+    }
+
+    /// The checkpoint payload: run seed, shard count, one (payload,
+    /// consumed) section per shard in shard order, then the monitor. A
+    /// checkpoint is only ever taken at a round boundary (outboxes
+    /// empty), so per-shard payloads are self-contained.
+    fn encode(&self, w: &mut SnapshotWriter<'_>) {
         w.put_u64(self.run_seed);
-        w.put_u32(u32::try_from(n).unwrap_or(u32::MAX));
+        w.put_u32(u32::try_from(self.cluster.n_shards()).unwrap_or(u32::MAX));
         for (i, consumed) in self.consumed.iter().enumerate() {
-            checkpoint::write_payload(&self.cluster.engine(i), &mut w);
+            checkpoint::write_payload(&self.cluster.engine(i), w);
             w.put_u64(consumed.len() as u64);
             for &count in consumed {
                 w.put_usize(count);
             }
         }
-        self.monitor.write(&mut w);
-        *buf = w.into_sealed();
+        self.monitor.write(w);
     }
 
     /// Restores a run from a [`ResumableRun::checkpoint`] envelope.

@@ -8,37 +8,52 @@
 //! * **manifest journal** — `manifest.jsonl` in the output directory
 //!   records one line per state transition (`pending` → `running` →
 //!   `done`), each carrying the cell's derived seed and the
-//!   configuration hash. Appends are fsynced; a line torn by a crash
-//!   mid-write is tolerated and ignored on replay.
+//!   configuration hash. Appends are serialised per journal and
+//!   fsynced; a line torn by a crash mid-write is tolerated and
+//!   ignored on replay.
 //! * **atomic artifacts** — every `.tsv` / `.ckpt` is written to a
 //!   `*.tmp` sibling, fsynced, then renamed into place, so a reader
 //!   (or a resumed sweep) never observes a half-written file.
 //! * **checkpoints** — each running cell snapshots its full state
 //!   (engine + streaming estimators, see
-//!   [`crate::resumable::ResumableRun`]) every `ckpt_events` events.
+//!   [`crate::resumable::ResumableRun`]) every `ckpt_events` events,
+//!   streamed straight into its `*.tmp` file through a bounded staging
+//!   buffer.
 //! * **resume** — [`SweepOptions::resume`] replays the journal, skips
 //!   cells already `done` (their artifacts are left untouched),
-//!   resumes the in-flight cell from its checkpoint, and runs the
+//!   resumes every in-flight cell from its checkpoint, and runs the
 //!   rest. Because checkpointed resume is bit-identical, the final
 //!   artifacts are byte-for-byte the same as an uninterrupted sweep's.
+//!
+//! **Parallel cells.** Simulated cells share nothing, so a job's cells
+//! run side by side: every (directory, cell) pair of a plain or
+//! factorial sweep goes on one work list, executed by the crate's one
+//! cell scheduler ([`crate::pool::run_indexed`]) on one worker per
+//! available core. Per-cell results are folded back in canonical
+//! order, so `summary.tsv`, `attribution.tsv` and `factorial.tsv` — and
+//! every other artifact — are byte-identical at any worker count; only
+//! the journal's line order follows the workers' interleaving.
 //!
 //! Each cell's quantiles are journaled as exact `f64` bit patterns, so
 //! `summary.tsv` rows for skipped cells reproduce without re-running.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use serde::{Deserialize, Serialize};
 use treadmill_sim_core::fnv1a64;
 
 use crate::aggregation::tail_composition;
 use crate::config::{ConfigError, LoadTestConfig};
+use crate::pool;
 use crate::report::health_warnings;
 use crate::resumable::ResumableRun;
-use crate::runner::LoadTestReport;
+use crate::runner::{LoadTest, LoadTestReport};
 
 /// Progress notifications emitted by [`run_sweep_controlled`] as the
 /// sweep advances — the hook a long-running service uses to stream
@@ -80,8 +95,10 @@ pub enum SweepEvent {
         /// The cell's aggregated p99 (µs).
         p99_us: f64,
     },
-    /// The sweep stopped early because cancellation was requested. The
-    /// in-flight cell's checkpoint is sealed; `--resume` continues it.
+    /// The sweep stopped early because cancellation was requested.
+    /// Sent once per in-flight cell, whose checkpoint is sealed so
+    /// `--resume` continues it, or once with `None` when no cell was
+    /// in flight.
     Interrupted {
         /// The cell that was in flight (if any was running).
         cell: Option<u64>,
@@ -90,18 +107,20 @@ pub enum SweepEvent {
 
 /// Cooperative control handles for [`run_sweep_controlled`].
 ///
-/// `cancel` is polled at every checkpoint boundary and between cells;
-/// once observed `true`, the sweep seals the in-flight checkpoint,
-/// flushes the journal (appends are fsynced as written), and returns
-/// with [`SweepOutcome::interrupted`] set — exactly the state a SIGKILL
-/// would leave, minus the lost batch. `progress` receives a
-/// [`SweepEvent`] for every state transition.
+/// `cancel` is polled at every checkpoint boundary and before each
+/// cell starts; once observed `true`, every in-flight cell seals its
+/// checkpoint, the journal is flushed (appends are fsynced as written),
+/// and the sweep returns with [`SweepOutcome::interrupted`] set —
+/// exactly the state a SIGKILL would leave, minus the lost batches.
+/// `progress` receives a [`SweepEvent`] for every state transition.
+/// Cells run on several workers, so the sink is called from any of
+/// them, one event at a time; each cell's events arrive in order.
 #[derive(Default)]
 pub struct SweepControl<'a> {
     /// Cancellation flag shared with a signal handler or drain path.
     pub cancel: Option<&'a AtomicBool>,
     /// Progress sink.
-    pub progress: Option<&'a mut dyn FnMut(SweepEvent)>,
+    pub progress: Option<&'a mut (dyn FnMut(SweepEvent) + Send)>,
 }
 
 impl fmt::Debug for SweepControl<'_> {
@@ -110,18 +129,6 @@ impl fmt::Debug for SweepControl<'_> {
             .field("cancel", &self.cancel.map(|c| c.load(Ordering::Relaxed)))
             .field("progress", &self.progress.is_some())
             .finish()
-    }
-}
-
-impl SweepControl<'_> {
-    fn cancelled(&self) -> bool {
-        self.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
-    }
-
-    fn emit(&mut self, event: SweepEvent) {
-        if let Some(progress) = self.progress.as_deref_mut() {
-            progress(event);
-        }
     }
 }
 
@@ -188,15 +195,15 @@ pub struct SweepOutcome {
     pub executed: Vec<u64>,
     /// Cells skipped because the journal already marks them done.
     pub skipped: Vec<u64>,
-    /// The cell that was resumed from a checkpoint, if any.
-    pub resumed_cell: Option<u64>,
+    /// Cells resumed from their checkpoints, in cell order.
+    pub resumed_cells: Vec<u64>,
     /// Warnings accumulated across cells (audit findings, health
     /// checks, recovery notes).
     pub warnings: Vec<String>,
     /// Path of the sweep summary artifact.
     pub summary_path: PathBuf,
     /// True if the sweep stopped early on a cancellation request. The
-    /// journal and the in-flight cell's checkpoint are sealed; running
+    /// journal and every in-flight cell's checkpoint are sealed; running
     /// again with [`SweepOptions::resume`] continues where it stopped.
     pub interrupted: bool,
     /// Every known-done cell's headline numbers (executed this
@@ -301,7 +308,7 @@ fn from_bits(s: &str) -> f64 {
 /// The journal replayed into per-cell knowledge.
 #[derive(Debug, Default)]
 struct Manifest {
-    done: std::collections::BTreeMap<u64, CellResult>,
+    done: BTreeMap<u64, CellResult>,
     running: std::collections::BTreeSet<u64>,
 }
 
@@ -360,12 +367,22 @@ fn append_journal(path: &Path, line: &ManifestLine) -> io::Result<()> {
 /// same directory, fsync, rename, directory fsync. A crash at any
 /// point leaves either the old file or the new one, never a torn mix.
 pub fn write_atomic(path: &Path, contents: &[u8]) -> io::Result<()> {
+    write_atomic_with(path, |file| file.write_all(contents))
+}
+
+/// [`write_atomic`] with the `*.tmp` file's contents written by
+/// `fill`, so a large artifact (a checkpoint) can be streamed into it
+/// instead of being built in memory first.
+fn write_atomic_with(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     {
         let mut file = File::create(&tmp)?;
-        file.write_all(contents)?;
+        fill(&mut file)?;
         file.sync_all()?;
     }
     fs::rename(&tmp, path)?;
@@ -411,7 +428,7 @@ fn cell_tsv(cell: u64, seed: u64, config_hash: &str, report: &LoadTestReport) ->
 fn summary_tsv(
     master_seed: u64,
     config_hash: &str,
-    cells: &std::collections::BTreeMap<u64, (u64, CellResult)>,
+    cells: &BTreeMap<u64, (u64, CellResult)>,
 ) -> String {
     let mut out = String::new();
     out.push_str(&provenance_line(master_seed, config_hash));
@@ -546,214 +563,377 @@ pub fn run_sweep_controlled(
     opts: &SweepOptions,
     ctrl: &mut SweepControl<'_>,
 ) -> Result<SweepOutcome, SweepError> {
-    let test = config.build()?;
-    let config_hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
-    fs::create_dir_all(out_dir)?;
-    let manifest_path = out_dir.join("manifest.jsonl");
+    sweep_impl(config, out_dir, opts, ctrl, default_workers())
+}
 
-    let mut outcome = SweepOutcome {
-        summary_path: out_dir.join("summary.tsv"),
-        ..SweepOutcome::default()
-    };
+fn sweep_impl(
+    config: &LoadTestConfig,
+    out_dir: &Path,
+    opts: &SweepOptions,
+    ctrl: &mut SweepControl<'_>,
+    workers: usize,
+) -> Result<SweepOutcome, SweepError> {
+    let dir = SweepDir::open(config.clone(), out_dir.to_path_buf(), opts)?;
+    let mut outcomes = run_cells(std::slice::from_ref(&dir), opts, ctrl, workers)?;
+    Ok(outcomes.pop().unwrap_or_default())
+}
 
-    let manifest = if opts.resume {
-        let (manifest, warnings) = read_manifest(&manifest_path, &config_hash);
-        outcome.warnings.extend(warnings);
-        manifest
-    } else {
-        // Fresh start: drop any previous journal and checkpoints so a
-        // stale `done` line cannot shadow the new configuration.
-        if manifest_path.exists() {
-            fs::remove_file(&manifest_path)?;
+/// Cell workers for a job: one per available core. The pool caps this
+/// at the number of cells to run.
+fn default_workers() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
+/// One sweep directory — a plain sweep's `out_dir` or a factorial
+/// sweep's `hw_NN/` — with its configuration and replayed journal.
+struct SweepDir {
+    config: LoadTestConfig,
+    test: LoadTest,
+    dir: PathBuf,
+    config_hash: String,
+    /// The replayed journal; empty on a fresh start.
+    manifest: Manifest,
+    /// Journal-replay warnings, reported ahead of the cells'.
+    warnings: Vec<String>,
+    /// Serialises journal appends from concurrent cells, so every line
+    /// lands whole and fsynced before the next.
+    journal_lock: Mutex<()>,
+}
+
+/// How one cell's turn on a worker ended.
+enum CellEnd {
+    /// Finished; its artifacts and `done` line are written.
+    Done(CellResult),
+    /// Stopped at a checkpoint, which is sealed for `--resume`.
+    Interrupted,
+    /// Never started: the sweep was stopping when its turn came.
+    NotStarted,
+}
+
+/// One cell's contribution to its directory's [`SweepOutcome`].
+struct CellRun {
+    end: CellEnd,
+    resumed: bool,
+    warnings: Vec<String>,
+}
+
+/// What every worker shares while a job's cells run.
+struct Workers<'c, 'p> {
+    opts: &'c SweepOptions,
+    cancel: Option<&'p AtomicBool>,
+    /// Set when a cell fails, so the others stop at their next
+    /// checkpoint and no further cell starts. (A panicking cell stops
+    /// further claims in the pool itself.)
+    halt: AtomicBool,
+    progress: Mutex<Option<&'c mut (dyn FnMut(SweepEvent) + Send + 'p)>>,
+}
+
+impl Workers<'_, '_> {
+    fn stopping(&self) -> bool {
+        self.halt.load(Ordering::Relaxed) || self.cancel.is_some_and(|c| c.load(Ordering::Relaxed))
+    }
+
+    fn emit(&self, event: SweepEvent) {
+        let mut sink = self.progress.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(progress) = sink.as_deref_mut() {
+            progress(event);
         }
-        for cell in 0..opts.runs {
-            let _ = fs::remove_file(ckpt_path(out_dir, cell));
-        }
-        for cell in 0..opts.runs {
-            append_journal(
-                &manifest_path,
-                &ManifestLine {
-                    cell,
-                    status: "pending".to_string(),
-                    seed: test.derive_run_seed(cell),
-                    config_hash: config_hash.clone(),
-                    result: None,
-                },
-            )?;
-        }
-        Manifest::default()
-    };
+    }
+}
 
-    let mut summary_cells: std::collections::BTreeMap<u64, (u64, CellResult)> = manifest
-        .done
-        .iter()
-        .map(|(&cell, result)| (cell, (test.derive_run_seed(cell), result.clone())))
-        .collect();
-
-    // Snapshot scratch buffer, recycled across every checkpoint of
-    // every cell — see `ResumableRun::checkpoint_into`.
-    let mut ckpt_buf = Vec::new();
-
-    'cells: for cell in 0..opts.runs {
-        let seed = test.derive_run_seed(cell);
-        if manifest.done.contains_key(&cell) {
-            outcome.skipped.push(cell);
-            ctrl.emit(SweepEvent::CellSkipped { cell });
-            continue;
-        }
-        if ctrl.cancelled() {
-            outcome.interrupted = true;
-            ctrl.emit(SweepEvent::Interrupted { cell: None });
-            break 'cells;
-        }
-
-        let checkpoint_file = ckpt_path(out_dir, cell);
-        let mut run = None;
-        if opts.resume && manifest.running.contains(&cell) {
-            match fs::read(&checkpoint_file) {
-                Ok(bytes) => match ResumableRun::resume(test.clone(), cell, &bytes) {
-                    Ok(resumed) => {
-                        outcome.resumed_cell = Some(cell);
-                        outcome.warnings.push(format!(
-                            "cell {cell}: resumed from checkpoint at {} events",
-                            resumed.events_executed()
-                        ));
-                        run = Some(resumed);
-                    }
-                    Err(e) => outcome.warnings.push(format!(
-                        "cell {cell}: checkpoint unusable ({e}); restarting from event zero"
-                    )),
-                },
-                Err(_) => outcome.warnings.push(format!(
-                    "cell {cell}: was in flight but left no checkpoint; \
-                     restarting from event zero"
-                )),
+impl SweepDir {
+    /// Prepares `dir` for `config`'s cells: replays the journal on
+    /// resume, otherwise clears any previous journal and checkpoints
+    /// and journals every cell `pending`.
+    fn open(config: LoadTestConfig, dir: PathBuf, opts: &SweepOptions) -> Result<Self, SweepError> {
+        let test = config.build()?;
+        let config_hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
+        fs::create_dir_all(&dir)?;
+        let journal = dir.join("manifest.jsonl");
+        let (manifest, warnings) = if opts.resume {
+            read_manifest(&journal, &config_hash)
+        } else {
+            // Fresh start: drop any previous journal and checkpoints so
+            // a stale `done` line cannot shadow the new configuration.
+            if journal.exists() {
+                fs::remove_file(&journal)?;
+            }
+            for cell in 0..opts.runs {
+                let _ = fs::remove_file(ckpt_path(&dir, cell));
+            }
+            (Manifest::default(), Vec::new())
+        };
+        let sweep = SweepDir {
+            config,
+            test,
+            dir,
+            config_hash,
+            manifest,
+            warnings,
+            journal_lock: Mutex::new(()),
+        };
+        if !opts.resume {
+            for cell in 0..opts.runs {
+                sweep.journal(cell, "pending", None)?;
             }
         }
-        let mut run = match run {
-            Some(run) => run,
+        Ok(sweep)
+    }
+
+    fn journal(&self, cell: u64, status: &str, result: Option<CellResult>) -> io::Result<()> {
+        let line = ManifestLine {
+            cell,
+            status: status.to_string(),
+            seed: self.test.derive_run_seed(cell),
+            config_hash: self.config_hash.clone(),
+            result,
+        };
+        let _serialised = self
+            .journal_lock
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        append_journal(&self.dir.join("manifest.jsonl"), &line)
+    }
+
+    /// The in-flight cell's run restored from its checkpoint, if the
+    /// journal left it `running` and the checkpoint is usable.
+    fn restore(&self, cell: u64, warnings: &mut Vec<String>) -> Option<ResumableRun> {
+        if !self.manifest.running.contains(&cell) {
+            return None;
+        }
+        let Ok(bytes) = fs::read(ckpt_path(&self.dir, cell)) else {
+            warnings.push(format!(
+                "cell {cell}: was in flight but left no checkpoint; restarting from event zero"
+            ));
+            return None;
+        };
+        match ResumableRun::resume(self.test.clone(), cell, &bytes) {
+            Ok(run) => {
+                warnings.push(format!(
+                    "cell {cell}: resumed from checkpoint at {} events",
+                    run.events_executed()
+                ));
+                Some(run)
+            }
+            Err(e) => {
+                warnings.push(format!(
+                    "cell {cell}: checkpoint unusable ({e}); restarting from event zero"
+                ));
+                None
+            }
+        }
+    }
+
+    /// Runs (or resumes) one cell on the calling worker: execute a
+    /// batch, stream a checkpoint, audit, repeat. A SIGKILL between any
+    /// two statements loses at most one batch of work; a stop request
+    /// observed after a checkpoint leaves that checkpoint as the
+    /// resume point.
+    fn run_cell(&self, cell: u64, w: &Workers<'_, '_>) -> Result<CellRun, SweepError> {
+        let mut out = CellRun {
+            end: CellEnd::NotStarted,
+            resumed: false,
+            warnings: Vec::new(),
+        };
+        if w.stopping() {
+            return Ok(out);
+        }
+        let seed = self.test.derive_run_seed(cell);
+        let checkpoint_file = ckpt_path(&self.dir, cell);
+        let mut run = match self.restore(cell, &mut out.warnings) {
+            Some(run) => {
+                out.resumed = true;
+                run
+            }
             None => {
-                append_journal(
-                    &manifest_path,
-                    &ManifestLine {
-                        cell,
-                        status: "running".to_string(),
-                        seed,
-                        config_hash: config_hash.clone(),
-                        result: None,
-                    },
-                )?;
-                ResumableRun::new(test.clone(), cell)
+                self.journal(cell, "running", None)?;
+                ResumableRun::new(self.test.clone(), cell)
             }
         };
-        ctrl.emit(SweepEvent::CellStarted {
+        w.emit(SweepEvent::CellStarted {
             cell,
             seed,
             resumed_at_events: run.events_executed(),
         });
 
-        // The crash-tolerance loop: execute a batch, persist a
-        // checkpoint, audit. A SIGKILL between any two statements loses
-        // at most one batch of work; a cancellation request observed
-        // here returns with the just-sealed checkpoint as the resume
-        // point.
-        while run.step(opts.ckpt_events) > 0 {
+        while run.step(w.opts.ckpt_events) > 0 {
             if run.is_finished() {
                 break;
             }
-            run.checkpoint_into(&mut ckpt_buf);
-            write_atomic(&checkpoint_file, &ckpt_buf)?;
-            for finding in run.audit(opts.max_pending) {
-                outcome.warnings.push(format!("cell {cell}: auditor: {finding}"));
+            write_atomic_with(&checkpoint_file, |file| run.checkpoint_to(file).map(drop))?;
+            for finding in run.audit(w.opts.max_pending) {
+                out.warnings
+                    .push(format!("cell {cell}: auditor: {finding}"));
             }
-            ctrl.emit(SweepEvent::Checkpointed {
+            w.emit(SweepEvent::Checkpointed {
                 cell,
                 events: run.events_executed(),
                 samples: run.tail().count(),
                 p99_us: run.tail().p99_us(),
             });
-            if ctrl.cancelled() {
-                outcome.interrupted = true;
-                outcome.warnings.push(format!(
+            if w.stopping() {
+                out.warnings.push(format!(
                     "cell {cell}: interrupted at {} events; checkpoint sealed — \
                      resume with --resume",
                     run.events_executed()
                 ));
-                ctrl.emit(SweepEvent::Interrupted { cell: Some(cell) });
-                break 'cells;
+                w.emit(SweepEvent::Interrupted { cell: Some(cell) });
+                out.end = CellEnd::Interrupted;
+                return Ok(out);
             }
         }
 
         let report = run.finish();
         for finding in &report.run.audit_findings {
-            outcome
-                .warnings
+            out.warnings
                 .push(format!("cell {cell}: auditor: {finding}"));
         }
-        for warning in health_warnings(&report, config.target_rps) {
-            outcome.warnings.push(format!("cell {cell}: {warning}"));
+        for warning in health_warnings(&report, self.config.target_rps) {
+            out.warnings.push(format!("cell {cell}: {warning}"));
         }
         let result = CellResult::from_report(&report);
         write_atomic(
-            &out_dir.join(format!("cell_{cell}.tsv")),
-            cell_tsv(cell, seed, &config_hash, &report).as_bytes(),
+            &self.dir.join(format!("cell_{cell}.tsv")),
+            cell_tsv(cell, seed, &self.config_hash, &report).as_bytes(),
         )?;
         write_atomic(
-            &attr_path(out_dir, cell),
-            attribution_tsv(cell, seed, &config_hash, &test.raw_latencies(&report)).as_bytes(),
-        )?;
-        append_journal(
-            &manifest_path,
-            &ManifestLine {
+            &attr_path(&self.dir, cell),
+            attribution_tsv(
                 cell,
-                status: "done".to_string(),
                 seed,
-                config_hash: config_hash.clone(),
-                result: Some(result.clone()),
-            },
+                &self.config_hash,
+                &self.test.raw_latencies(&report),
+            )
+            .as_bytes(),
         )?;
+        self.journal(cell, "done", Some(result.clone()))?;
         let _ = fs::remove_file(&checkpoint_file);
-        let (samples, p99_us) = (result.samples, from_bits(&result.p99_bits));
-        summary_cells.insert(cell, (seed, result));
-        outcome.executed.push(cell);
-        ctrl.emit(SweepEvent::CellDone {
+        w.emit(SweepEvent::CellDone {
             cell,
-            samples,
-            p99_us,
+            samples: result.samples,
+            p99_us: from_bits(&result.p99_bits),
         });
+        out.end = CellEnd::Done(result);
+        Ok(out)
     }
 
-    outcome.cells = summary_cells
-        .iter()
-        .map(|(&cell, (seed, r))| CellSummary {
-            cell,
-            seed: *seed,
-            samples: r.samples,
-            mean_us: from_bits(&r.mean_bits),
-            p50_us: from_bits(&r.p50_bits),
-            p90_us: from_bits(&r.p90_bits),
-            p95_us: from_bits(&r.p95_bits),
-            p99_us: from_bits(&r.p99_bits),
-            p999_us: from_bits(&r.p999_bits),
-        })
-        .collect();
-    write_atomic(
-        &outcome.summary_path,
-        summary_tsv(config.seed, &config_hash, &summary_cells).as_bytes(),
-    )?;
-    if !outcome.interrupted {
-        // The sweep-wide attribution aggregate is only meaningful (and
-        // only byte-stable) once every cell has contributed its rows.
-        let attribution = aggregate_attribution(
-            out_dir,
-            config.seed,
-            &config_hash,
-            opts.runs,
-            &mut outcome.warnings,
-        );
-        write_atomic(&out_dir.join("attribution.tsv"), attribution.as_bytes())?;
+    /// Assembles this directory's outcome from its cells' runs (in cell
+    /// order) and writes `summary.tsv`, plus `attribution.tsv` once
+    /// every cell is done.
+    fn finish(
+        &self,
+        runs: u64,
+        cell_runs: &mut impl Iterator<Item = CellRun>,
+    ) -> Result<SweepOutcome, SweepError> {
+        let mut outcome = SweepOutcome {
+            summary_path: self.dir.join("summary.tsv"),
+            warnings: self.warnings.clone(),
+            ..SweepOutcome::default()
+        };
+        let mut done: BTreeMap<u64, (u64, CellResult)> = self
+            .manifest
+            .done
+            .iter()
+            .map(|(&cell, result)| (cell, (self.test.derive_run_seed(cell), result.clone())))
+            .collect();
+        for cell in 0..runs {
+            if self.manifest.done.contains_key(&cell) {
+                outcome.skipped.push(cell);
+                continue;
+            }
+            let Some(run) = cell_runs.next() else { break };
+            outcome.warnings.extend(run.warnings);
+            if run.resumed {
+                outcome.resumed_cells.push(cell);
+            }
+            match run.end {
+                CellEnd::Done(result) => {
+                    outcome.executed.push(cell);
+                    done.insert(cell, (self.test.derive_run_seed(cell), result));
+                }
+                CellEnd::Interrupted | CellEnd::NotStarted => outcome.interrupted = true,
+            }
+        }
+        outcome.cells = done
+            .iter()
+            .map(|(&cell, (seed, r))| CellSummary {
+                cell,
+                seed: *seed,
+                samples: r.samples,
+                mean_us: from_bits(&r.mean_bits),
+                p50_us: from_bits(&r.p50_bits),
+                p90_us: from_bits(&r.p90_bits),
+                p95_us: from_bits(&r.p95_bits),
+                p99_us: from_bits(&r.p99_bits),
+                p999_us: from_bits(&r.p999_bits),
+            })
+            .collect();
+        write_atomic(
+            &outcome.summary_path,
+            summary_tsv(self.config.seed, &self.config_hash, &done).as_bytes(),
+        )?;
+        if !outcome.interrupted {
+            // The sweep-wide attribution aggregate is only meaningful
+            // (and only byte-stable) once every cell has contributed.
+            let attribution = aggregate_attribution(
+                &self.dir,
+                self.config.seed,
+                &self.config_hash,
+                runs,
+                &mut outcome.warnings,
+            );
+            write_atomic(&self.dir.join("attribution.tsv"), attribution.as_bytes())?;
+        }
+        Ok(outcome)
     }
-    Ok(outcome)
+}
+
+/// The job's one cell scheduler: every unfinished cell of every
+/// directory goes on one work list in canonical (directory, cell)
+/// order and runs on [`pool::run_indexed`]'s workers. Simulated cells
+/// share nothing, so running them side by side cannot change their
+/// bytes; each directory's outcome and summaries are then assembled
+/// from the per-cell results in canonical order, which makes every
+/// artifact independent of `workers`.
+fn run_cells(
+    dirs: &[SweepDir],
+    opts: &SweepOptions,
+    ctrl: &mut SweepControl<'_>,
+    workers: usize,
+) -> Result<Vec<SweepOutcome>, SweepError> {
+    let shared = Workers {
+        opts,
+        cancel: ctrl.cancel,
+        halt: AtomicBool::new(false),
+        progress: Mutex::new(ctrl.progress.as_deref_mut()),
+    };
+    let mut work = Vec::new();
+    for (d, dir) in dirs.iter().enumerate() {
+        for cell in 0..opts.runs {
+            if dir.manifest.done.contains_key(&cell) {
+                shared.emit(SweepEvent::CellSkipped { cell });
+            } else {
+                work.push((d, cell));
+            }
+        }
+    }
+    let runs = pool::run_indexed(work.len(), workers, |k| {
+        let (d, cell) = work[k];
+        let run = dirs[d].run_cell(cell, &shared);
+        if run.is_err() {
+            shared.halt.store(true, Ordering::Relaxed);
+        }
+        run
+    });
+    let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let sealed = runs.iter().any(|r| matches!(r.end, CellEnd::Interrupted));
+    if !sealed && runs.iter().any(|r| matches!(r.end, CellEnd::NotStarted)) {
+        shared.emit(SweepEvent::Interrupted { cell: None });
+    }
+    let mut runs = runs.into_iter();
+    dirs.iter()
+        .map(|dir| dir.finish(opts.runs, &mut runs))
+        .collect()
 }
 
 /// The number of hardware cells in the paper's 2⁴ factor space.
@@ -941,8 +1121,9 @@ fn screen_tsv(master_seed: u64, base_hash: &str, plan: &ScreenedSweepPlan) -> St
 }
 
 /// Runs the full 2⁴ factorial sweep: every hardware cell gets its own
-/// crash-tolerant [`run_sweep`] into `hw_NN/` under `out_dir`, and the
-/// across-run aggregates land in `factorial.tsv`.
+/// crash-tolerant sweep directory `hw_NN/` under `out_dir`, all cells
+/// of all directories share one worker pool, and the across-run
+/// aggregates land in `factorial.tsv`.
 ///
 /// # Errors
 ///
@@ -952,7 +1133,7 @@ pub fn run_factorial_sweep(
     out_dir: &Path,
     opts: &SweepOptions,
 ) -> Result<FactorialOutcome, SweepError> {
-    factorial_sweep_impl(config, out_dir, opts, None, &mut SweepControl::default())
+    run_factorial_sweep_controlled(config, out_dir, opts, None, &mut SweepControl::default())
 }
 
 /// Runs the two-stage screened sweep: DES runs are spent only on the
@@ -970,7 +1151,13 @@ pub fn run_screened_sweep(
     opts: &SweepOptions,
     plan: &ScreenedSweepPlan,
 ) -> Result<FactorialOutcome, SweepError> {
-    factorial_sweep_impl(config, out_dir, opts, Some(plan), &mut SweepControl::default())
+    run_factorial_sweep_controlled(
+        config,
+        out_dir,
+        opts,
+        Some(plan),
+        &mut SweepControl::default(),
+    )
 }
 
 /// [`run_screened_sweep`] with cooperative cancellation and progress —
@@ -986,7 +1173,7 @@ pub fn run_factorial_sweep_controlled(
     plan: Option<&ScreenedSweepPlan>,
     ctrl: &mut SweepControl<'_>,
 ) -> Result<FactorialOutcome, SweepError> {
-    factorial_sweep_impl(config, out_dir, opts, plan, ctrl)
+    factorial_sweep_impl(config, out_dir, opts, plan, ctrl, default_workers())
 }
 
 fn factorial_sweep_impl(
@@ -995,6 +1182,7 @@ fn factorial_sweep_impl(
     opts: &SweepOptions,
     plan: Option<&ScreenedSweepPlan>,
     ctrl: &mut SweepControl<'_>,
+    workers: usize,
 ) -> Result<FactorialOutcome, SweepError> {
     config.validate()?;
     if let Some(plan) = plan {
@@ -1022,21 +1210,27 @@ fn factorial_sweep_impl(
             .collect();
     }
 
-    for index in 0..FACTORIAL_CELLS {
-        if let Some(plan) = plan {
-            if !plan.cells[index].flagged {
-                continue;
-            }
-        }
-        let cell_config = factorial_cell_config(config, index);
-        let cell_dir = factorial_cell_dir(out_dir, index);
-        let inner = run_sweep_controlled(&cell_config, &cell_dir, opts, ctrl)?;
+    let indices: Vec<usize> = (0..FACTORIAL_CELLS)
+        .filter(|&index| plan.is_none_or(|plan| plan.cells[index].flagged))
+        .collect();
+    let dirs = indices
+        .iter()
+        .map(|&index| {
+            SweepDir::open(
+                factorial_cell_config(config, index),
+                factorial_cell_dir(out_dir, index),
+                opts,
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let inner = run_cells(&dirs, opts, ctrl, workers)?;
+    for ((index, dir), inner) in indices.into_iter().zip(dirs).zip(inner) {
         for warning in &inner.warnings {
             outcome.warnings.push(format!("hw {index}: {warning}"));
         }
         if inner.interrupted {
             outcome.interrupted = true;
-            break;
+            continue;
         }
         let runs = inner.cells.len() as u64;
         let mean_of = |f: &dyn Fn(&CellSummary) -> f64| {
@@ -1044,7 +1238,7 @@ fn factorial_sweep_impl(
         };
         outcome.cells.push(FactorialCellResult {
             index,
-            dir: cell_dir,
+            dir: dir.dir,
             runs,
             samples: inner.cells.iter().map(|c| c.samples).sum(),
             mean_us: mean_of(&|c| c.mean_us),
@@ -1168,41 +1362,153 @@ mod tests {
         let golden_dir = tempdir("golden-cancel");
         run_sweep(&small_config(), &golden_dir, &opts(2)).expect("golden sweep");
 
-        // Cancel at the first checkpoint of cell 0 — the graceful
-        // SIGTERM path: the sweep returns Ok, interrupted, with the
-        // checkpoint sealed and the journal still marking cell 0
-        // running.
-        let dir = tempdir("cancel");
-        let cancel = AtomicBool::new(false);
-        let mut flip = |event: SweepEvent| {
-            if matches!(event, SweepEvent::Checkpointed { .. }) {
-                cancel.store(true, Ordering::Relaxed);
-            }
-        };
-        let mut ctrl = SweepControl {
-            cancel: Some(&cancel),
-            progress: Some(&mut flip),
-        };
-        let outcome =
-            run_sweep_controlled(&small_config(), &dir, &opts(2), &mut ctrl).expect("sweep");
-        assert!(outcome.interrupted);
-        assert!(outcome.executed.is_empty());
-        assert!(dir.join("cell_0.ckpt").exists(), "checkpoint must be sealed");
+        // Cancel at the first checkpoint — the graceful SIGTERM path:
+        // the sweep returns Ok, interrupted, with every in-flight
+        // cell's checkpoint sealed and the journal still marking those
+        // cells running. One worker has only cell 0 in flight; two may
+        // have both cells.
+        for workers in [1, 2] {
+            let dir = tempdir(&format!("cancel-{workers}"));
+            let cancel = AtomicBool::new(false);
+            let mut flip = |event: SweepEvent| {
+                if matches!(event, SweepEvent::Checkpointed { .. }) {
+                    cancel.store(true, Ordering::Relaxed);
+                }
+            };
+            let mut ctrl = SweepControl {
+                cancel: Some(&cancel),
+                progress: Some(&mut flip),
+            };
+            let outcome =
+                sweep_impl(&small_config(), &dir, &opts(2), &mut ctrl, workers).expect("sweep");
+            assert!(outcome.interrupted);
+            assert!(outcome.executed.is_empty());
+            assert!(
+                dir.join("cell_0.ckpt").exists(),
+                "checkpoint must be sealed"
+            );
+            let sealed: Vec<u64> = (0..2)
+                .filter(|&c| dir.join(format!("cell_{c}.ckpt")).exists())
+                .collect();
 
-        // Resume without cancellation: byte-identical to the golden.
-        let resumed_opts = SweepOptions {
-            resume: true,
-            ..opts(2)
-        };
-        let outcome = run_sweep(&small_config(), &dir, &resumed_opts).expect("resume");
-        assert_eq!(outcome.resumed_cell, Some(0));
-        assert!(!outcome.interrupted);
-        for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
-            let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
-            let resumed = fs::read(dir.join(artifact)).expect("resumed artifact");
-            assert_eq!(golden, resumed, "{artifact} differs after cancel+resume");
+            // Resume without cancellation: byte-identical to the golden.
+            let resumed_opts = SweepOptions {
+                resume: true,
+                ..opts(2)
+            };
+            let outcome = run_sweep(&small_config(), &dir, &resumed_opts).expect("resume");
+            assert_eq!(outcome.resumed_cells, sealed);
+            if workers == 1 {
+                assert_eq!(sealed, vec![0]);
+            }
+            assert!(!outcome.interrupted);
+            for artifact in ["cell_0.tsv", "cell_1.tsv", "summary.tsv", "attribution.tsv"] {
+                let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
+                let resumed = fs::read(dir.join(artifact)).expect("resumed artifact");
+                assert_eq!(golden, resumed, "{artifact} differs after cancel+resume");
+            }
+            let _ = fs::remove_dir_all(&dir);
         }
         let _ = fs::remove_dir_all(&golden_dir);
+    }
+
+    /// Every file under `dir` (recursively) except the journal, whose
+    /// line order follows the workers' interleaving, by relative path.
+    fn artifacts(dir: &Path) -> BTreeMap<PathBuf, Vec<u8>> {
+        let mut out = BTreeMap::new();
+        let mut stack = vec![dir.to_path_buf()];
+        while let Some(next) = stack.pop() {
+            for entry in fs::read_dir(&next).expect("read dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    stack.push(path);
+                } else if path.file_name().is_some_and(|n| n != "manifest.jsonl") {
+                    let rel = path.strip_prefix(dir).expect("under dir").to_path_buf();
+                    out.insert(rel, fs::read(&path).expect("read artifact"));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn artifacts_are_byte_identical_at_one_and_many_workers() {
+        let config = small_config();
+        let serial = tempdir("workers-1");
+        let parallel = tempdir("workers-n");
+        let ctrl = &mut SweepControl::default();
+        let one = sweep_impl(&config, &serial, &opts(3), ctrl, 1).expect("serial sweep");
+        let many = sweep_impl(&config, &parallel, &opts(3), ctrl, 3).expect("parallel sweep");
+        assert_eq!(one.executed, many.executed);
+        assert_eq!(one.warnings, many.warnings);
+        assert_eq!(one.cells, many.cells);
+        let files = artifacts(&serial);
+        assert_eq!(files.len(), 3 * 2 + 2, "{:?}", files.keys());
+        assert_eq!(files, artifacts(&parallel));
+
+        // A screened factorial: two runs of each flagged cell.
+        let plan = uniform_plan(&[1, 6, 12], 0.05);
+        let (serial_f, parallel_f) = (tempdir("fact-1"), tempdir("fact-n"));
+        let one = factorial_sweep_impl(&config, &serial_f, &opts(2), Some(&plan), ctrl, 1)
+            .expect("serial factorial");
+        let many = factorial_sweep_impl(&config, &parallel_f, &opts(2), Some(&plan), ctrl, 4)
+            .expect("parallel factorial");
+        let rooted = |o: &FactorialOutcome, root: &Path| -> Vec<FactorialCellResult> {
+            o.cells
+                .iter()
+                .map(|c| FactorialCellResult {
+                    dir: c.dir.strip_prefix(root).expect("under root").to_path_buf(),
+                    ..c.clone()
+                })
+                .collect()
+        };
+        assert_eq!(rooted(&one, &serial_f), rooted(&many, &parallel_f));
+        assert_eq!(one.warnings, many.warnings);
+        let files = artifacts(&serial_f);
+        assert_eq!(files.len(), 2 + 3 * (2 * 2 + 2), "{:?}", files.keys());
+        assert_eq!(files, artifacts(&parallel_f));
+
+        // Threshold 0 flags every cell: the screened sweep at N workers
+        // reproduces the full factorial cell for cell.
+        let all: Vec<usize> = (0..FACTORIAL_CELLS).collect();
+        let (full, screened) = (tempdir("full-n"), tempdir("screened-0-n"));
+        factorial_sweep_impl(&config, &full, &opts(1), None, ctrl, 4).expect("full");
+        factorial_sweep_impl(
+            &config,
+            &screened,
+            &opts(1),
+            Some(&uniform_plan(&all, 0.0)),
+            ctrl,
+            4,
+        )
+        .expect("threshold-0 screen");
+        let mut screened_files = artifacts(&screened);
+        assert!(screened_files.remove(Path::new("screen.tsv")).is_some());
+        assert_eq!(artifacts(&full), screened_files);
+        for dir in [serial, parallel, serial_f, parallel_f, full, screened] {
+            let _ = fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn streamed_checkpoint_file_equals_checkpoint_into() {
+        let dir = tempdir("streamed");
+        let path = dir.join("cell_0.ckpt");
+        let test = small_config().build().expect("build");
+        let mut buf = Vec::new();
+
+        let mut run = ResumableRun::new(test.clone(), 0);
+        run.step(30_000);
+        write_atomic_with(&path, |f| run.checkpoint_to(f).map(drop)).expect("stream");
+        run.checkpoint_into(&mut buf);
+        assert_eq!(fs::read(&path).expect("read"), buf, "mid-run state");
+        assert!(!dir.join("cell_0.ckpt.tmp").exists());
+
+        let mut resumed = ResumableRun::resume(test, 0, &buf).expect("resume");
+        resumed.step(25_000);
+        write_atomic_with(&path, |f| resumed.checkpoint_to(f).map(drop)).expect("stream");
+        resumed.checkpoint_into(&mut buf);
+        assert_eq!(fs::read(&path).expect("read"), buf, "resumed state");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1235,36 +1541,46 @@ mod tests {
     #[test]
     fn resume_restores_in_flight_cell_from_checkpoint() {
         let golden_dir = tempdir("golden-midcell");
-        run_sweep(&small_config(), &golden_dir, &opts(1)).expect("golden sweep");
+        run_sweep(&small_config(), &golden_dir, &opts(3)).expect("golden sweep");
 
-        // Hand-craft a crashed sweep: journal says cell 0 is running,
-        // and a mid-run checkpoint exists.
+        // Hand-craft a crash with two cells in flight, as a parallel
+        // sweep leaves it: the journal says cells 0 and 2 are running,
+        // and each has its own mid-run checkpoint.
         let dir = tempdir("midcell");
         let config = small_config();
         let test = config.build().expect("build");
         let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
-        append_journal(
-            &dir.join("manifest.jsonl"),
-            &ManifestLine {
-                cell: 0,
-                status: "running".to_string(),
-                seed: test.derive_run_seed(0),
-                config_hash: hash,
-                result: None,
-            },
-        )
-        .expect("journal");
-        let mut run = ResumableRun::new(test, 0);
-        run.step(30_000);
-        write_atomic(&ckpt_path(&dir, 0), &run.checkpoint()).expect("checkpoint");
+        for (cell, events) in [(0, 30_000), (2, 45_000)] {
+            append_journal(
+                &dir.join("manifest.jsonl"),
+                &ManifestLine {
+                    cell,
+                    status: "running".to_string(),
+                    seed: test.derive_run_seed(cell),
+                    config_hash: hash.clone(),
+                    result: None,
+                },
+            )
+            .expect("journal");
+            let mut run = ResumableRun::new(test.clone(), cell);
+            run.step(events);
+            write_atomic(&ckpt_path(&dir, cell), &run.checkpoint()).expect("checkpoint");
+        }
 
         let resumed_opts = SweepOptions {
             resume: true,
-            ..opts(1)
+            ..opts(3)
         };
         let outcome = run_sweep(&config, &dir, &resumed_opts).expect("resumed sweep");
-        assert_eq!(outcome.resumed_cell, Some(0));
-        for artifact in ["cell_0.tsv", "summary.tsv"] {
+        assert_eq!(outcome.resumed_cells, vec![0, 2]);
+        assert_eq!(outcome.executed, vec![0, 1, 2]);
+        for artifact in [
+            "cell_0.tsv",
+            "cell_1.tsv",
+            "cell_2.tsv",
+            "summary.tsv",
+            "attribution.tsv",
+        ] {
             let golden = fs::read(golden_dir.join(artifact)).expect("golden artifact");
             let resumed = fs::read(dir.join(artifact)).expect("resumed artifact");
             assert_eq!(golden, resumed, "{artifact} differs after mid-cell resume");
@@ -1326,7 +1642,7 @@ mod tests {
             ..opts(1)
         };
         let outcome = run_sweep(&config, &dir, &resumed_opts).expect("resumed");
-        assert_eq!(outcome.resumed_cell, None);
+        assert!(outcome.resumed_cells.is_empty());
         assert!(outcome.warnings.iter().any(|w| w.contains("unusable")));
         assert_eq!(
             fs::read(golden_dir.join("cell_0.tsv")).expect("golden"),

@@ -136,7 +136,7 @@ pub fn collect(plan: &CollectionPlan) -> Dataset {
     let mut order_rng = SeedStream::new(plan.seed).stream("experiment-order", 0);
     jobs.shuffle(&mut order_rng);
 
-    let samples = crate::pool::run_indexed(jobs.len(), plan.threads, |j| {
+    let samples = treadmill_core::pool::run_indexed(jobs.len(), plan.threads, |j| {
         let (config_idx, rep) = jobs[j];
         run_one_experiment(plan, config_idx, rep)
     });

@@ -44,7 +44,6 @@ pub mod dataset;
 pub mod factors;
 pub mod goodness;
 pub mod impact;
-mod pool;
 pub mod reduced;
 pub mod screening;
 pub mod tuning;

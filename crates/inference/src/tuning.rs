@@ -118,7 +118,7 @@ pub fn validate(plan: &TuningPlan, recommended: HardwareConfig) -> TuningOutcome
 
 fn run_arm(plan: &TuningPlan, pinned: Option<HardwareConfig>, salt: u64) -> ArmSummary {
     let seeds = SeedStream::new(plan.seed ^ salt);
-    let pairs = crate::pool::run_indexed(plan.experiments, plan.threads, |i| {
+    let pairs = treadmill_core::pool::run_indexed(plan.experiments, plan.threads, |i| {
         let hardware = pinned.unwrap_or_else(|| {
             let mut rng = seeds.stream("config-choice", i as u64);
             HardwareConfig::from_index(rng.gen_range(0..16))

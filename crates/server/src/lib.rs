@@ -20,7 +20,7 @@
 //!   bound HTTP-side memory and latency.
 //! * **Graceful drain** ([`shutdown`], [`service`]): SIGTERM stops the
 //!   acceptor, cancels the in-flight sweep at the next checkpoint
-//!   boundary (sealing it to disk), and flushes the journal before
+//!   boundary of each running cell (sealing it to disk), and flushes the journal before
 //!   exit — indistinguishable on disk from a SIGKILL, minus the lost
 //!   batch.
 //! * **Audit trail** ([`audit`]): an append-only `audit.jsonl` records

@@ -7,8 +7,15 @@
 //!                                        │
 //!                    POST /experiments ──┴──(bounded job queue)──> executor
 //!                                                                     │
-//!                                                     run_sweep_controlled
+//!                                          run_(factorial_)sweep_controlled
+//!                                                                     │
+//!                                              one cell worker per core
 //! ```
+//!
+//! The acceptor blocks in `accept`, so a connection is queued as soon
+//! as it arrives. The executor runs one job at a time and that job's
+//! cells in parallel: simulated cells cannot perturb each other's
+//! latency, whereas two jobs would compete for the same cores.
 //!
 //! Overload behavior is explicit at every hop: the acceptor sheds
 //! connections past the cap with an immediate `503`, the job queue
@@ -16,12 +23,13 @@
 //! carries read/write timeouts so no worker blocks past its budget.
 //! [`ServerHandle::drain`] runs the graceful-shutdown sequence: stop
 //! accepting, answer queued connections, cancel the in-flight sweep
-//! at its next checkpoint (sealing it), flush the journal, exit.
+//! (sealing every running cell at its next checkpoint), flush the
+//! journal, exit.
 
 use std::fmt;
 use std::fs;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -239,13 +247,22 @@ impl ServerHandle {
     }
 
     /// Begins graceful shutdown: stop accepting, drop queued jobs
-    /// (they stay journaled), cancel the in-flight sweep at its next
-    /// checkpoint boundary.
+    /// (they stay journaled), cancel the in-flight sweep at each
+    /// running cell's next checkpoint boundary.
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
         self.shared.jobs.close(false);
-        // The acceptor closes the connection queue (draining queued
-        // connections) when it observes the flag and exits.
+        // The acceptor blocks in `accept`; one connection of our own
+        // wakes it to observe the flag, close the connection queue
+        // (draining queued connections) and exit.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
     }
 
     /// Waits for every thread to exit. An `Err` means a worker
@@ -286,7 +303,6 @@ pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
     };
 
     let listener = TcpListener::bind(&opts.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     write_atomic(
         &opts.state_dir.join("addr.txt"),
@@ -355,12 +371,15 @@ fn spec_provenance(spec_json: &str) -> (u64, String) {
     }
 }
 
+/// Blocks in `accept`, so a connection is queued the moment it
+/// arrives; [`ServerHandle::drain`] connects once to wake it.
 fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
+        let accepted = listener.accept();
         if shared.draining() {
             break;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 let _ = stream.set_read_timeout(Some(shared.opts.read_timeout));
                 let _ =
@@ -380,9 +399,7 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors and the like: back off, then retry.
             Err(_) => thread::sleep(Duration::from_millis(10)),
         }
     }

@@ -24,6 +24,7 @@
 //! string — two identical runs checkpoint to identical bytes.
 
 use std::fmt;
+use std::io;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -99,40 +100,80 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// dependency-free and platform-stable (checkpoints are written and
 /// read on the same format version, never across hash variants).
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut lanes = [
-        SEED,
-        SEED ^ 0x9e37_79b9_7f4a_7c15,
-        SEED.rotate_left(17),
-        SEED.rotate_left(33),
-    ];
-    let mut chunks = bytes.chunks_exact(32);
-    for chunk in &mut chunks {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            *lane ^= u64::from_le_bytes(fixed::<8>(&chunk[i * 8..i * 8 + 8]));
-            *lane = lane.wrapping_mul(PRIME);
+    let whole = bytes.len() - bytes.len() % CHECKSUM_BLOCK;
+    let mut sum = Checksum64::new();
+    sum.fold(&bytes[..whole]);
+    sum.finish(&bytes[whole..])
+}
+
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+/// Bytes one round of [`checksum64`]'s four lanes consumes.
+const CHECKSUM_BLOCK: usize = 32;
+
+/// [`checksum64`] folded incrementally, so a streamed snapshot is
+/// checksummed as its bytes leave the staging buffer.
+#[derive(Debug, Clone)]
+struct Checksum64 {
+    lanes: [u64; 4],
+    folded: u64,
+}
+
+impl Checksum64 {
+    fn new() -> Self {
+        Checksum64 {
+            lanes: [
+                FNV_SEED,
+                FNV_SEED ^ 0x9e37_79b9_7f4a_7c15,
+                FNV_SEED.rotate_left(17),
+                FNV_SEED.rotate_left(33),
+            ],
+            folded: 0,
         }
     }
-    let mut hash = SEED ^ (bytes.len() as u64).wrapping_mul(PRIME);
-    for lane in lanes {
-        hash ^= lane;
-        hash = hash.wrapping_mul(PRIME);
+
+    /// Folds whole [`CHECKSUM_BLOCK`]-byte blocks; callers pass a
+    /// multiple of the block size.
+    fn fold(&mut self, blocks: &[u8]) {
+        for chunk in blocks.chunks_exact(CHECKSUM_BLOCK) {
+            for (i, lane) in self.lanes.iter_mut().enumerate() {
+                *lane ^= u64::from_le_bytes(fixed::<8>(&chunk[i * 8..i * 8 + 8]));
+                *lane = lane.wrapping_mul(FNV_PRIME);
+            }
+        }
+        self.folded += blocks.len() as u64;
     }
-    for &b in chunks.remainder() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
+
+    /// Folds the lanes, the total length and the final partial block.
+    fn finish(self, tail: &[u8]) -> u64 {
+        let len = self.folded + tail.len() as u64;
+        let mut hash = FNV_SEED ^ len.wrapping_mul(FNV_PRIME);
+        for lane in self.lanes {
+            hash ^= lane;
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        for &b in tail {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        hash
     }
-    hash
+}
+
+/// The envelope header for a payload of `len` bytes with `checksum`.
+fn envelope_header(len: u64, checksum: u64) -> [u8; ENVELOPE_BYTES] {
+    let mut header = [0u8; ENVELOPE_BYTES];
+    header[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
+    header[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    header[8..16].copy_from_slice(&len.to_le_bytes());
+    header[16..24].copy_from_slice(&checksum.to_le_bytes());
+    header
 }
 
 /// Wraps a payload in the versioned, checksummed snapshot envelope.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum64(payload).to_le_bytes());
+    let mut out = Vec::with_capacity(payload.len() + ENVELOPE_BYTES);
+    out.extend_from_slice(&envelope_header(payload.len() as u64, checksum64(payload)));
     out.extend_from_slice(payload);
     out
 }
@@ -171,22 +212,60 @@ pub fn open(data: &[u8]) -> Result<&[u8], SnapshotError> {
 /// Byte length of the envelope header (`magic | version | len | checksum`).
 pub const ENVELOPE_BYTES: usize = 24;
 
-/// Appends fixed-width little-endian primitives to a payload buffer.
-#[derive(Debug, Default)]
-pub struct SnapshotWriter {
-    buf: Vec<u8>,
-    /// Offset where the payload starts: 0 for plain writers,
-    /// [`ENVELOPE_BYTES`] for writers created with [`Self::sealing`].
-    base: usize,
+/// A byte sink a snapshot can be streamed into. The envelope header is
+/// written last, once the checksum is known, so the sink must seek.
+pub trait SnapshotSink: io::Write + io::Seek {}
+
+impl<T: io::Write + io::Seek> SnapshotSink for T {}
+
+/// Staging-buffer size of a streaming [`SnapshotWriter`]: payload bytes
+/// are checksummed and handed to the sink whenever this much is staged.
+const STAGE_BYTES: usize = 1 << 16;
+
+/// Where a streaming writer's staged bytes go.
+struct Spill<'s> {
+    sink: &'s mut dyn SnapshotSink,
+    checksum: Checksum64,
+    /// The first write error; later writes are skipped and
+    /// [`SnapshotWriter::finish_streamed`] reports it.
+    error: Option<io::Error>,
 }
 
-impl SnapshotWriter {
+impl fmt::Debug for Spill<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Spill")
+            .field("streamed", &self.checksum.folded)
+            .field("error", &self.error)
+            .finish()
+    }
+}
+
+/// Appends fixed-width little-endian primitives to a payload buffer,
+/// or streams them through a bounded staging buffer into a
+/// [`SnapshotSink`] ([`Self::streaming`]).
+#[derive(Debug)]
+pub struct SnapshotWriter<'s> {
+    buf: Vec<u8>,
+    /// Offset where the payload starts: 0 for plain and streaming
+    /// writers, [`ENVELOPE_BYTES`] for writers created with
+    /// [`Self::sealing`].
+    base: usize,
+    /// Staged length that triggers a spill; `usize::MAX` unless
+    /// streaming.
+    spill_at: usize,
+    spill: Option<Spill<'s>>,
+}
+
+impl Default for SnapshotWriter<'_> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<'s> SnapshotWriter<'s> {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        SnapshotWriter {
-            buf: Vec::new(),
-            base: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty writer with `capacity` bytes pre-reserved —
@@ -196,6 +275,8 @@ impl SnapshotWriter {
         SnapshotWriter {
             buf: Vec::with_capacity(capacity),
             base: 0,
+            spill_at: usize::MAX,
+            spill: None,
         }
     }
 
@@ -219,19 +300,100 @@ impl SnapshotWriter {
         SnapshotWriter {
             buf,
             base: ENVELOPE_BYTES,
+            spill_at: usize::MAX,
+            spill: None,
         }
+    }
+
+    /// Creates a writer that streams a sealed snapshot into `sink`
+    /// through a bounded staging buffer, folding the checksum as bytes
+    /// leave it. A placeholder header goes first; [`Self::finish_streamed`]
+    /// overwrites it with the real one. The sink ends up holding
+    /// exactly the bytes [`Self::into_sealed`] would have returned, and
+    /// memory stays bounded however large the snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Returns the sink's error if the placeholder header cannot be
+    /// written.
+    pub fn streaming(sink: &'s mut dyn SnapshotSink) -> io::Result<Self> {
+        sink.write_all(&[0u8; ENVELOPE_BYTES])?;
+        Ok(SnapshotWriter {
+            buf: Vec::with_capacity(STAGE_BYTES + CHECKSUM_BLOCK),
+            base: 0,
+            spill_at: STAGE_BYTES,
+            spill: Some(Spill {
+                sink,
+                checksum: Checksum64::new(),
+                error: None,
+            }),
+        })
+    }
+
+    /// Hands every whole checksum block staged so far to the sink,
+    /// keeping the partial tail for the next spill.
+    #[cold]
+    fn spill(&mut self) {
+        let Some(spill) = self.spill.as_mut() else {
+            return;
+        };
+        let whole = self.buf.len() - self.buf.len() % CHECKSUM_BLOCK;
+        spill.checksum.fold(&self.buf[..whole]);
+        if spill.error.is_none() {
+            if let Err(e) = spill.sink.write_all(&self.buf[..whole]) {
+                spill.error = Some(e);
+            }
+        }
+        self.buf.drain(..whole);
+    }
+
+    #[inline]
+    fn staged(&mut self) {
+        if self.buf.len() >= self.spill_at {
+            self.spill();
+        }
+    }
+
+    /// Consumes a [`Self::streaming`] writer: flushes the staged tail,
+    /// then seeks back and writes the envelope header. Returns the
+    /// sealed snapshot's length in bytes. The caller syncs the sink.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first write or seek error the sink reported, or
+    /// [`io::ErrorKind::InvalidInput`] on a writer that was not
+    /// created with [`Self::streaming`].
+    pub fn finish_streamed(self) -> io::Result<u64> {
+        let Some(spill) = self.spill else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "finish_streamed requires a writer created with SnapshotWriter::streaming",
+            ));
+        };
+        if let Some(e) = spill.error {
+            return Err(e);
+        }
+        let mut sum = spill.checksum;
+        let whole = self.buf.len() - self.buf.len() % CHECKSUM_BLOCK;
+        sum.fold(&self.buf[..whole]);
+        let len = sum.folded + (self.buf.len() - whole) as u64;
+        let checksum = sum.finish(&self.buf[whole..]);
+        spill.sink.write_all(&self.buf)?;
+        spill.sink.seek(io::SeekFrom::Start(0))?;
+        spill.sink.write_all(&envelope_header(len, checksum))?;
+        Ok(len + ENVELOPE_BYTES as u64)
     }
 
     /// Consumes the writer, returning the raw payload bytes.
     ///
     /// # Panics
     ///
-    /// Panics on a writer created with [`Self::sealing`] — its buffer
-    /// carries the envelope header, so it must use [`Self::into_sealed`].
+    /// Panics on a writer created with [`Self::sealing`] or
+    /// [`Self::streaming`] — its buffer does not hold a bare payload.
     pub fn into_bytes(self) -> Vec<u8> {
         // tml-lint: allow(PANIC002, the only service chain is a name-collision edge from String::into_bytes in job.rs; the documented misuse assert is unreachable there)
-        assert_eq!(
-            self.base, 0,
+        assert!(
+            self.base == 0 && self.spill.is_none(),
             "a sealing writer must be consumed with into_sealed"
         );
         self.buf
@@ -252,16 +414,14 @@ impl SnapshotWriter {
         );
         let payload_len = self.buf.len() - ENVELOPE_BYTES;
         let checksum = checksum64(&self.buf[ENVELOPE_BYTES..]);
-        self.buf[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
-        self.buf[4..8].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        self.buf[8..16].copy_from_slice(&(payload_len as u64).to_le_bytes());
-        self.buf[16..24].copy_from_slice(&checksum.to_le_bytes());
+        self.buf[..ENVELOPE_BYTES].copy_from_slice(&envelope_header(payload_len as u64, checksum));
         self.buf
     }
 
-    /// Payload length so far (excluding any reserved envelope header).
+    /// Payload length so far (excluding any envelope header).
     pub fn len(&self) -> usize {
-        self.buf.len() - self.base
+        let streamed = self.spill.as_ref().map_or(0, |s| s.checksum.folded);
+        usize::try_from(streamed).unwrap_or(usize::MAX) + self.buf.len() - self.base
     }
 
     /// True if nothing has been written.
@@ -273,30 +433,35 @@ impl SnapshotWriter {
     #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
+        self.staged();
     }
 
     /// Writes a bool as one byte (0 or 1).
     #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
+        self.staged();
     }
 
     /// Writes a `u32`, little-endian.
     #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.staged();
     }
 
     /// Writes a `u64`, little-endian.
     #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.staged();
     }
 
     /// Writes a `u128`, little-endian.
     #[inline]
     pub fn put_u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.staged();
     }
 
     /// Writes a `usize` as a `u64` (platform-independent width).
@@ -329,6 +494,7 @@ impl SnapshotWriter {
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());
         self.buf.extend_from_slice(bytes);
+        self.staged();
     }
 
     /// Appends raw bytes with no length prefix — for fixed-layout
@@ -338,6 +504,7 @@ impl SnapshotWriter {
     #[inline]
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+        self.staged();
     }
 }
 
@@ -563,6 +730,53 @@ mod tests {
         let mut r2 = SnapshotReader::new(&bytes);
         let _ = r2.get_u8().unwrap();
         assert!(matches!(r2.finish(), Err(SnapshotError::Malformed(_))));
+    }
+
+    #[test]
+    fn checksum64_is_pinned() {
+        // Envelopes written before the checksum was folded incrementally
+        // must still open: these values come from the one-shot loop.
+        let bytes: Vec<u8> = (0u32..100).map(|i| (i * 7 % 251) as u8).collect();
+        assert_eq!(checksum64(&bytes[..0]), 0xb1a3_520a_5855_6232);
+        assert_eq!(checksum64(&bytes[..1]), 0x9062_fc82_6ecf_73ab);
+        assert_eq!(checksum64(&bytes[..77]), 0xf5cd_8cf8_cd31_19b8);
+        assert_eq!(checksum64(&bytes), 0x41c5_dee5_fc92_8c48);
+    }
+
+    #[test]
+    fn streamed_envelope_equals_sealed_buffer() {
+        for len in [
+            0,
+            1,
+            31,
+            32,
+            33,
+            STAGE_BYTES - 1,
+            STAGE_BYTES,
+            3 * STAGE_BYTES + 45,
+        ] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 253) as u8).collect();
+            let fill = |w: &mut SnapshotWriter<'_>| {
+                // Mixed widths, so spills land mid-field.
+                w.put_u64(len as u64);
+                for chunk in payload.chunks(13) {
+                    w.put_raw(chunk);
+                    w.put_u8(0xA5);
+                }
+                w.put_bytes(&payload[..len.min(40)]);
+            };
+            let mut sealed = SnapshotWriter::sealing(0);
+            fill(&mut sealed);
+            let sealed = sealed.into_sealed();
+
+            let mut sink = io::Cursor::new(Vec::new());
+            let mut streamed = SnapshotWriter::streaming(&mut sink).unwrap();
+            fill(&mut streamed);
+            assert_eq!(streamed.len() + ENVELOPE_BYTES, sealed.len());
+            assert_eq!(streamed.finish_streamed().unwrap(), sealed.len() as u64);
+            assert_eq!(sink.into_inner(), sealed, "payload length {len}");
+        }
+        assert!(SnapshotWriter::new().finish_streamed().is_err());
     }
 
     #[test]

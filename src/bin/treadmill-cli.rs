@@ -6,11 +6,12 @@
 //!     and print per-run and aggregated summaries.
 //!
 //! treadmill-cli sweep <config.json> --out DIR [--runs N] [--seed S] [--resume] [--ckpt-events K]
-//!     Crash-tolerant repeated-run sweep: journals per-cell status to
-//!     DIR/manifest.jsonl, checkpoints the running cell every K events,
-//!     and writes atomic TSV artifacts. --resume skips done cells and
-//!     resumes the in-flight one from its checkpoint, producing
-//!     byte-identical artifacts to an uninterrupted sweep.
+//!     Crash-tolerant repeated-run sweep: runs cells in parallel (one
+//!     worker per core), journals per-cell status to DIR/manifest.jsonl,
+//!     checkpoints each running cell every K events, and writes atomic
+//!     TSV artifacts. --resume skips done cells and resumes every
+//!     in-flight one from its checkpoint, producing byte-identical
+//!     artifacts to an uninterrupted sweep.
 //!
 //! treadmill-cli attribute <memcached|mcrouter> [--rps R] [--runs N] [--seed S]
 //!     Run the 2^4 factorial campaign, print the Table IV-style
@@ -43,8 +44,8 @@
 //! ```
 //!
 //! `sweep` installs SIGINT/SIGTERM handlers: an interrupted sweep
-//! seals the in-flight checkpoint and flushes the journal before
-//! exiting, so `--resume` continues it exactly like a crashed one.
+//! seals every in-flight cell's checkpoint and flushes the journal
+//! before exiting, so `--resume` continues it exactly like a crashed one.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -291,7 +292,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), String> {
     };
     let outcome = run_sweep_controlled(&config, std::path::Path::new(out), &opts, &mut ctrl)
         .map_err(|e| e.to_string())?;
-    if let Some(cell) = outcome.resumed_cell {
+    for cell in &outcome.resumed_cells {
         println!("  resumed cell {cell} from its checkpoint");
     }
     if !outcome.skipped.is_empty() {

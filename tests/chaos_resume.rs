@@ -88,12 +88,43 @@ fn kill_budget() -> u32 {
         .unwrap_or(4)
 }
 
+/// Cells the journal in `dir` left `running` with no `done` line: the
+/// cells a kill caught in flight.
+fn cells_in_flight(dir: &Path) -> usize {
+    let journal = fs::read_to_string(dir.join("manifest.jsonl")).unwrap_or_default();
+    let mut running = std::collections::BTreeSet::new();
+    for line in journal.lines() {
+        let Some(cell) = line
+            .split("\"cell\":")
+            .nth(1)
+            .and_then(|rest| rest.split(',').next())
+            .and_then(|n| n.parse::<u64>().ok())
+        else {
+            continue; // a line torn by the kill
+        };
+        if line.contains("\"status\":\"running\"") {
+            running.insert(cell);
+        } else if line.contains("\"status\":\"done\"") {
+            running.remove(&cell);
+        }
+    }
+    running.len()
+}
+
+/// What a chaos loop did.
+struct Chaos {
+    /// Kills that landed before the sweep finished.
+    kills: u32,
+    /// The most cells any landed kill left in flight.
+    max_in_flight: usize,
+}
+
 /// Kills a sweep over `config` at seeded delays until the kill budget
-/// is spent, then lets the final resume finish. Returns the number of
-/// kills actually landed.
-fn chaos_loop(config: &Path, chaos_dir: &Path, budget: u32, lcg_seed: u64) -> u32 {
+/// is spent, then lets the final resume finish.
+fn chaos_loop(config: &Path, chaos_dir: &Path, budget: u32, lcg_seed: u64) -> Chaos {
     let mut rng = Lcg(lcg_seed);
     let mut kills = 0;
+    let mut max_in_flight = 0;
     let mut resume = false;
     loop {
         let mut child = Command::new(cli())
@@ -118,10 +149,14 @@ fn chaos_loop(config: &Path, chaos_dir: &Path, budget: u32, lcg_seed: u64) -> u3
                 child.kill().expect("SIGKILL child");
                 let _ = child.wait();
                 kills += 1;
+                max_in_flight = max_in_flight.max(cells_in_flight(chaos_dir));
             }
         }
     }
-    kills
+    Chaos {
+        kills,
+        max_in_flight,
+    }
 }
 
 #[test]
@@ -140,7 +175,21 @@ fn sigkilled_sweep_resumes_to_byte_identical_artifacts() {
     // Chaos: kill the sweep at seeded delays, resume, repeat. After the
     // kill budget is spent, let the final resume run to completion.
     let chaos_dir = root.join("chaos");
-    let kills = chaos_loop(&config, &chaos_dir, kill_budget(), 0x5EED_CAFE);
+    let Chaos {
+        kills,
+        max_in_flight,
+    } = chaos_loop(&config, &chaos_dir, kill_budget(), 0x5EED_CAFE);
+    // With two or more cores the sweep runs cells side by side, so the
+    // soak must have caught several cells in flight at once: the
+    // multi-cell resume path is what it exercises.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores >= 2 && kills > 0 {
+        assert!(
+            max_in_flight >= 2,
+            "no landed kill left two cells running ({kills} kills, at most \
+             {max_in_flight} in flight)"
+        );
+    }
 
     // The whole point: bit-identical artifacts despite the carnage —
     // including the per-cell tail-attribution files and the sweep-wide
@@ -213,7 +262,7 @@ fn sigkilled_sharded_multithreaded_sweep_resumes_byte_identical() {
     let chaos_dir = root.join("chaos");
     // Half the kill budget: the sharded soak triples the per-cell event
     // count, and the unsharded soak above already covers the long tail.
-    let kills = chaos_loop(&config, &chaos_dir, kill_budget().div_ceil(2), 0xC0FFEE);
+    let kills = chaos_loop(&config, &chaos_dir, kill_budget().div_ceil(2), 0xC0FFEE).kills;
 
     for artifact in [
         "cell_0.tsv",

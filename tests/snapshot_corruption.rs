@@ -6,8 +6,38 @@
 
 #![allow(clippy::unwrap_used)]
 
+use std::io::Cursor;
+
 use proptest::prelude::*;
-use treadmill::sim::snapshot::{open, seal, SnapshotError, ENVELOPE_BYTES, SNAPSHOT_VERSION};
+use treadmill::sim::snapshot::{
+    open, seal, SnapshotError, SnapshotWriter, ENVELOPE_BYTES, SNAPSHOT_VERSION,
+};
+
+/// A payload of `len` bytes drawn from `seed` — long enough to cross
+/// the streaming writer's staging buffer several times.
+fn payload(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.to_le_bytes()[0]
+        })
+        .collect()
+}
+
+/// Streams `payload` the way a checkpoint is streamed into its tmp
+/// file: odd-sized pieces through the staging buffer, header last.
+fn streamed(payload: &[u8]) -> Vec<u8> {
+    let mut sink = Cursor::new(Vec::new());
+    let mut w = SnapshotWriter::streaming(&mut sink).unwrap();
+    for piece in payload.chunks(1_021) {
+        w.put_raw(piece);
+    }
+    w.finish_streamed().unwrap();
+    sink.into_inner()
+}
 
 proptest! {
     /// Intact envelopes round-trip to the exact payload.
@@ -70,6 +100,27 @@ proptest! {
             Err(SnapshotError::BadVersion { found }) => prop_assert_eq!(found, version),
             other => prop_assert!(false, "version {}: {:?}", version, other),
         }
+    }
+
+    /// A streamed envelope is the sealed one, so a file torn anywhere
+    /// or flipped at any bit is refused exactly as a sealed one is.
+    #[test]
+    fn streamed_envelope_rejects_tears_and_flips(
+        seed in 0u64..u64::MAX,
+        len in 0usize..200_000,
+        at in 0usize..1_000_000,
+        bit in 0u8..8,
+    ) {
+        let payload = payload(seed, len);
+        let file = streamed(&payload);
+        prop_assert_eq!(&file, &seal(&payload));
+        prop_assert_eq!(open(&file).unwrap(), payload.as_slice());
+        let cut = at % file.len();
+        prop_assert_eq!(open(&file[..cut]), Err(SnapshotError::Truncated));
+        let at = at % file.len();
+        let mut flipped = file;
+        flipped[at] ^= 1 << bit;
+        prop_assert!(open(&flipped).is_err(), "flip at byte {} bit {}", at, bit);
     }
 
     /// Arbitrary bytes — not even an envelope — are always typed.
