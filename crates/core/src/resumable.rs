@@ -5,8 +5,8 @@
 //! `servers == 1` — but in bounded event batches, with three extras a
 //! long unattended run needs:
 //!
-//! * **checkpointing** — [`ResumableRun::checkpoint`] captures every
-//!   shard's engine snapshot ([`treadmill_cluster::checkpoint`]) *plus*
+//! * **checkpointing** — [`ResumableRun::checkpoint_to`] streams every
+//!   shard's engine payload ([`treadmill_cluster::checkpoint`]) *plus*
 //!   the streaming tail estimators into one sealed envelope,
 //!   `run_seed | n_shards | n × (payload, consumed) | monitor`;
 //!   [`ResumableRun::resume`] restores both, so a run killed at any
@@ -282,34 +282,28 @@ impl ResumableRun {
     }
 
     /// Captures the full run state — engine snapshots plus streaming
-    /// estimators — as one sealed, checksummed envelope. The engine
-    /// payloads are embedded directly (not double-sealed), so the whole
-    /// checkpoint costs one serialisation pass and one checksum.
+    /// estimators — as one sealed, checksummed envelope in memory.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         self.checkpoint_into(&mut buf);
         buf
     }
 
-    /// [`ResumableRun::checkpoint`], but recycling `buf`'s allocation.
-    /// A loop that checkpoints every few million events should pass the
-    /// same buffer each time: reusing the multi-megabyte backing store
-    /// avoids a fresh allocation — and its page-fault cost — per
-    /// checkpoint, which is most of the snapshot wall time.
+    /// [`ResumableRun::checkpoint`], but recycling `buf`'s allocation,
+    /// so a loop that checkpoints every few million events skips the
+    /// multi-megabyte allocation and its page faults each time.
     pub fn checkpoint_into(&self, buf: &mut Vec<u8>) {
-        let scratch = std::mem::take(buf);
-        let hint: usize = (0..self.cluster.n_shards())
-            .map(|i| checkpoint::payload_size_hint(&self.cluster.engine(i)))
-            .sum();
-        let mut w = SnapshotWriter::sealing_reuse(scratch, hint + 8192);
-        self.encode(&mut w);
-        *buf = w.into_sealed();
+        buf.clear();
+        // An in-memory sink cannot fail.
+        let _ = self.checkpoint_to(&mut io::Cursor::new(buf));
     }
 
-    /// Streams the same envelope [`ResumableRun::checkpoint_into`]
-    /// builds straight into `sink`, through a bounded staging buffer,
-    /// so a checkpoint never holds the whole snapshot in memory.
-    /// Returns the bytes written; the caller syncs the sink.
+    /// Streams the checkpoint envelope into `sink` through a bounded
+    /// staging buffer, so a checkpoint never holds the whole snapshot
+    /// in memory. The engine payloads are embedded directly (not
+    /// double-sealed), so the whole checkpoint costs one serialisation
+    /// pass and one checksum. Returns the bytes written; the caller
+    /// syncs the sink.
     ///
     /// # Errors
     ///
@@ -524,7 +518,8 @@ mod tests {
     /// A monitor section up to the histogram's bucket count: empty
     /// stats, a P² estimator for `p`, then `n_counts`.
     fn crafted_monitor(p: f64, n_counts: u64) -> Vec<u8> {
-        let mut w = SnapshotWriter::new();
+        let mut sink = io::Cursor::new(Vec::new());
+        let mut w = SnapshotWriter::streaming(&mut sink).unwrap();
         w.put_u64(0);
         for _ in 0..4 {
             w.put_f64(0.0);
@@ -539,16 +534,18 @@ mod tests {
             w.put_f64(0.0);
         }
         w.put_u64(n_counts);
-        w.into_bytes()
+        w.finish_streamed().unwrap();
+        sink.into_inner()
     }
 
     #[test]
     fn oversized_histogram_count_is_rejected_before_allocating() {
         // A histogram claiming 2^40 buckets must be refused rather than
         // reserved (an allocation failure aborts the process).
-        for bytes in [crafted_monitor(0.99, 1 << 40), crafted_monitor(7.0, 1)] {
+        for sealed in [crafted_monitor(0.99, 1 << 40), crafted_monitor(7.0, 1)] {
+            let bytes = snapshot::open(&sealed).unwrap();
             assert!(matches!(
-                TailMonitor::read(&mut SnapshotReader::new(&bytes)),
+                TailMonitor::read(&mut SnapshotReader::new(bytes)),
                 Err(SnapshotError::Malformed(_))
             ));
         }

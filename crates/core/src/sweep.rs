@@ -9,8 +9,8 @@
 //!   records one line per state transition (`pending` → `running` →
 //!   `done`), each carrying the cell's derived seed and the
 //!   configuration hash. Appends are serialised per journal and
-//!   fsynced; a line torn by a crash mid-write is tolerated and
-//!   ignored on replay.
+//!   fsynced; a line torn by a crash mid-write is tolerated, ignored
+//!   on replay and sealed with a newline before the next append.
 //! * **atomic artifacts** — every `.tsv` / `.ckpt` is written to a
 //!   `*.tmp` sibling, fsynced, then renamed into place, so a reader
 //!   (or a resumed sweep) never observes a half-written file.
@@ -312,12 +312,14 @@ struct Manifest {
     running: std::collections::BTreeSet<u64>,
 }
 
-fn read_manifest(path: &Path, config_hash: &str) -> (Manifest, Vec<String>) {
+/// Replays the journal at `path`, sealing a torn final line first.
+fn read_manifest(path: &Path, config_hash: &str) -> io::Result<(Manifest, Vec<String>)> {
     let mut manifest = Manifest::default();
     let mut warnings = Vec::new();
     let Ok(contents) = fs::read_to_string(path) else {
-        return (manifest, warnings);
+        return Ok((manifest, warnings));
     };
+    seal_torn_tail(path, &contents)?;
     for line in contents.lines() {
         if line.trim().is_empty() {
             continue;
@@ -349,7 +351,20 @@ fn read_manifest(path: &Path, config_hash: &str) -> (Manifest, Vec<String>) {
             _ => {}
         }
     }
-    (manifest, warnings)
+    Ok((manifest, warnings))
+}
+
+/// Seals an append-only journal whose final line a crash tore
+/// mid-write (`contents` is the journal as just read): one fsynced
+/// newline, so the next append starts a line of its own instead of
+/// being glued to the debris and lost on the next replay.
+pub fn seal_torn_tail(path: &Path, contents: &str) -> io::Result<()> {
+    if contents.is_empty() || contents.ends_with('\n') {
+        return Ok(());
+    }
+    let mut file = OpenOptions::new().append(true).open(path)?;
+    file.write_all(b"\n")?;
+    file.sync_all()
 }
 
 /// Appends one journal line and fsyncs, so the transition survives a
@@ -651,7 +666,7 @@ impl SweepDir {
         fs::create_dir_all(&dir)?;
         let journal = dir.join("manifest.jsonl");
         let (manifest, warnings) = if opts.resume {
-            read_manifest(&journal, &config_hash)
+            read_manifest(&journal, &config_hash)?
         } else {
             // Fresh start: drop any previous journal and checkpoints so
             // a stale `done` line cannot shadow the new configuration.
@@ -1612,6 +1627,26 @@ mod tests {
             .warnings
             .iter()
             .any(|w| w.contains("torn/unparseable")));
+
+        // The fragment was sealed on a line of its own: every line the
+        // resumed sweep appended after it parses, so cell 1's lifecycle
+        // survives another replay.
+        let journal = fs::read_to_string(dir.join("manifest.jsonl")).expect("journal");
+        let lines: Vec<&str> = journal.lines().collect();
+        let torn = lines
+            .iter()
+            .position(|l| *l == "{\"cell\":1,\"status\":\"run")
+            .expect("fragment on its own line");
+        let after: Vec<ManifestLine> = lines[torn + 1..]
+            .iter()
+            .map(|l| serde_json::from_str(l).expect("line after the fragment parses"))
+            .collect();
+        for status in ["running", "done"] {
+            assert!(
+                after.iter().any(|l| l.cell == 1 && l.status == status),
+                "cell 1 has no {status} line: {journal}"
+            );
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

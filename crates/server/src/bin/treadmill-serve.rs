@@ -3,26 +3,26 @@
 //! ```text
 //! treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume]
 //!                 [--queue-cap N] [--workers N] [--max-conns N]
-//!                 [--mem-store]
 //! ```
 //!
 //! Binds the HTTP service, prints the bound address (also written to
-//! `DIR/addr.txt`), and runs until SIGTERM/SIGINT, at which point it
-//! drains gracefully: stops accepting, seals the in-flight sweep's
-//! checkpoint, flushes the journal, exits 0. A SIGKILL'd instance
-//! restarted with `--resume` replays the journal and continues.
+//! `DIR/addr.txt`), journals every job to `DIR/jobs.jsonl`, and runs
+//! until SIGTERM/SIGINT, at which point it drains gracefully: stops
+//! accepting, seals each running cell's checkpoint, exits 0. An
+//! instance drained or SIGKILL'd mid-job and restarted with `--resume`
+//! replays the journal and continues every unfinished job, plain or
+//! screened, from its cells' journals and checkpoints.
 
 use std::process::ExitCode;
 use std::thread;
 use std::time::Duration;
 
-use treadmill_server::service::{start, ServeOptions, StoreKind};
+use treadmill_server::service::{start, ServeOptions};
 use treadmill_server::shutdown;
 
 fn usage() -> &'static str {
     "usage: treadmill-serve --state-dir DIR [--addr HOST:PORT] [--resume]\n\
-     \x20                   [--queue-cap N] [--workers N] [--max-conns N]\n\
-     \x20                   [--mem-store]\n"
+     \x20                   [--queue-cap N] [--workers N] [--max-conns N]\n"
 }
 
 fn parse_args() -> Result<ServeOptions, String> {
@@ -32,7 +32,6 @@ fn parse_args() -> Result<ServeOptions, String> {
     let mut queue_cap: Option<usize> = None;
     let mut workers: Option<usize> = None;
     let mut max_conns: Option<usize> = None;
-    let mut mem_store = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -50,7 +49,6 @@ fn parse_args() -> Result<ServeOptions, String> {
             "--max-conns" => {
                 max_conns = Some(parse_count(&take("--max-conns")?)?);
             }
-            "--mem-store" => mem_store = true,
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -67,9 +65,6 @@ fn parse_args() -> Result<ServeOptions, String> {
     }
     if let Some(n) = max_conns {
         opts.max_conns = n;
-    }
-    if mem_store {
-        opts.store = StoreKind::Memory;
     }
     Ok(opts)
 }

@@ -8,9 +8,10 @@
 //! loses work to a crash) is self-defeating — so every layer degrades
 //! gracefully:
 //!
-//! * **Journaled jobs** ([`store`]): the file-backed [`store::JobStore`]
-//!   appends every job state transition to an fsynced `jobs.jsonl`
-//!   journal (same torn-line-tolerant pattern as the sweep manifest).
+//! * **Journaled jobs** ([`store`]): the [`FileStore`] appends every
+//!   job state transition to an fsynced `jobs.jsonl` journal (same
+//!   torn-line-tolerant pattern as the sweep manifest); there is no
+//!   volatile store.
 //!   A SIGKILL'd server restarted with `--resume` replays the journal
 //!   and continues in-flight experiments from their checkpoints,
 //!   producing byte-identical artifacts.
@@ -54,5 +55,5 @@ pub mod store;
 pub use audit::{AuditEntry, AuditLog};
 pub use job::{ExperimentSpec, JobStatus, SpecError};
 pub use queue::{BoundedQueue, Pop, Push};
-pub use service::{start, ServeOptions, ServerHandle, StartError, StoreKind};
-pub use store::{FileStore, JobStore, MemStore, ReplayReport, StoredJob, SubmitOutcome};
+pub use service::{start, ServeOptions, ServerHandle, StartError};
+pub use store::{FileStore, ReplayReport, StoredJob, SubmitOutcome};

@@ -1,9 +1,8 @@
-//! Job persistence: the [`JobStore`] trait with an in-memory backend
-//! for tests and a file-backed backend whose `jobs.jsonl` journal
-//! reuses the crash-safety recipe of the sweep manifest
-//! (`core/src/sweep.rs`): append-only JSON lines, fsynced per append,
-//! torn trailing lines tolerated and ignored on replay, duplicate
-//! lines idempotent.
+//! Job persistence: [`FileStore`], whose `jobs.jsonl` journal reuses
+//! the crash-safety recipe of the sweep manifest (`core/src/sweep.rs`):
+//! append-only JSON lines, fsynced per append, torn trailing lines
+//! tolerated, ignored on replay and sealed before the next append,
+//! duplicate lines idempotent.
 
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
@@ -12,6 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
+use treadmill_core::sweep::seal_torn_tail;
 
 use crate::job::JobStatus;
 
@@ -45,106 +45,6 @@ pub enum SubmitOutcome {
     /// The idempotency key matched an existing job; nothing was
     /// created and the original is returned.
     Deduplicated(StoredJob),
-}
-
-/// Pluggable job persistence.
-pub trait JobStore: Send + Sync {
-    /// Admits a job (or dedups it by idempotency `key`).
-    fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome>;
-    /// Records a lifecycle transition.
-    fn set_status(
-        &self,
-        id: &str,
-        status: JobStatus,
-        detail: Option<&str>,
-    ) -> io::Result<()>;
-    /// Fetches one job.
-    fn get(&self, id: &str) -> Option<StoredJob>;
-    /// All jobs in id order.
-    fn jobs(&self) -> Vec<StoredJob>;
-}
-
-/// Shared bookkeeping for both backends.
-#[derive(Default)]
-struct Inner {
-    next_job: u64,
-    jobs: BTreeMap<String, StoredJob>,
-    by_key: BTreeMap<String, String>,
-}
-
-impl Inner {
-    fn submit(&mut self, key: Option<&str>, spec_json: &str) -> SubmitOutcome {
-        if let Some(key) = key {
-            if let Some(id) = self.by_key.get(key) {
-                if let Some(job) = self.jobs.get(id) {
-                    return SubmitOutcome::Deduplicated(job.clone());
-                }
-            }
-        }
-        let id = format!("exp-{:06}", self.next_job);
-        self.next_job += 1;
-        let job = StoredJob {
-            id: id.clone(),
-            key: key.map(str::to_string),
-            spec_json: spec_json.to_string(),
-            status: JobStatus::Queued,
-            detail: None,
-        };
-        if let Some(key) = key {
-            self.by_key.insert(key.to_string(), id.clone());
-        }
-        self.jobs.insert(id, job.clone());
-        SubmitOutcome::Created(job)
-    }
-
-    fn set_status(&mut self, id: &str, status: JobStatus, detail: Option<&str>) -> bool {
-        match self.jobs.get_mut(id) {
-            Some(job) => {
-                job.status = status;
-                job.detail = detail.map(str::to_string);
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-/// Volatile store for tests and `--mem-store` runs; journal-free, so
-/// a crash forgets everything (by design).
-#[derive(Default)]
-pub struct MemStore {
-    inner: Mutex<Inner>,
-}
-
-impl MemStore {
-    /// An empty store.
-    pub fn new() -> Self {
-        MemStore::default()
-    }
-}
-
-impl JobStore for MemStore {
-    fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome> {
-        Ok(lock(&self.inner).submit(key, spec_json))
-    }
-
-    fn set_status(
-        &self,
-        id: &str,
-        status: JobStatus,
-        detail: Option<&str>,
-    ) -> io::Result<()> {
-        lock(&self.inner).set_status(id, status, detail);
-        Ok(())
-    }
-
-    fn get(&self, id: &str) -> Option<StoredJob> {
-        lock(&self.inner).jobs.get(id).cloned()
-    }
-
-    fn jobs(&self) -> Vec<StoredJob> {
-        lock(&self.inner).jobs.values().cloned().collect()
-    }
 }
 
 /// One journal line: a job state transition. Submission lines carry
@@ -181,42 +81,135 @@ pub struct ReplayReport {
 /// SIGKILL'd server reconstructs exactly the admitted state.
 pub struct FileStore {
     journal: PathBuf,
-    state: Mutex<InnerWithSeq>,
+    state: Mutex<State>,
 }
 
-struct InnerWithSeq {
-    inner: Inner,
+/// The jobs the journal replays into, plus the next ids to hand out.
+#[derive(Default)]
+struct State {
+    next_job: u64,
     seq: u64,
+    jobs: BTreeMap<String, StoredJob>,
+    by_key: BTreeMap<String, String>,
+}
+
+impl State {
+    fn set_status(&mut self, id: &str, status: JobStatus, detail: Option<&str>) -> bool {
+        match self.jobs.get_mut(id) {
+            Some(job) => {
+                job.status = status;
+                job.detail = detail.map(str::to_string);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
 }
 
 impl FileStore {
     /// Opens (or creates) the journal under `state_dir` and replays it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the filesystem error if the journal cannot be read or
+    /// its torn tail cannot be sealed.
     pub fn open(state_dir: &Path) -> io::Result<(FileStore, ReplayReport)> {
         fs::create_dir_all(state_dir)?;
         let journal = state_dir.join("jobs.jsonl");
-        let (inner, seq, report) = match fs::read_to_string(&journal) {
+        let (state, report) = match fs::read_to_string(&journal) {
             Ok(text) => {
-                // A torn final line has no trailing newline; seal it
-                // now so the next append starts a fresh line instead
-                // of being swallowed by the debris.
-                if !text.is_empty() && !text.ends_with('\n') {
-                    let mut file =
-                        OpenOptions::new().append(true).open(&journal)?;
-                    file.write_all(b"\n")?;
-                    file.sync_all()?;
-                }
+                seal_torn_tail(&journal, &text)?;
                 replay(&text)
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                (Inner::default(), 0, ReplayReport::default())
+                (State::default(), ReplayReport::default())
             }
             Err(e) => return Err(e),
         };
         let store = FileStore {
             journal,
-            state: Mutex::new(InnerWithSeq { inner, seq }),
+            state: Mutex::new(state),
         };
         Ok((store, report))
+    }
+
+    /// Admits a job, or dedups it by idempotency `key`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the filesystem error if the submission line cannot be
+    /// journaled.
+    pub fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome> {
+        let mut state = lock(&self.state);
+        if let Some(job) = key
+            .and_then(|key| state.by_key.get(key))
+            .and_then(|id| state.jobs.get(id))
+        {
+            return Ok(SubmitOutcome::Deduplicated(job.clone()));
+        }
+        let id = format!("exp-{:06}", state.next_job);
+        state.next_job += 1;
+        let job = StoredJob {
+            id: id.clone(),
+            key: key.map(str::to_string),
+            spec_json: spec_json.to_string(),
+            status: JobStatus::Queued,
+            detail: None,
+        };
+        if let Some(key) = key {
+            state.by_key.insert(key.to_string(), id.clone());
+        }
+        state.jobs.insert(id, job.clone());
+        self.append(&JournalLine {
+            seq: state.next_seq(),
+            id: job.id.clone(),
+            status: job.status.as_str().to_string(),
+            key: job.key.clone(),
+            spec: Some(job.spec_json.clone()),
+            detail: None,
+        })?;
+        Ok(SubmitOutcome::Created(job))
+    }
+
+    /// Records a lifecycle transition; a no-op for an unknown id.
+    ///
+    /// # Errors
+    ///
+    /// Returns the filesystem error if the transition cannot be
+    /// journaled.
+    pub fn set_status(
+        &self,
+        id: &str,
+        status: JobStatus,
+        detail: Option<&str>,
+    ) -> io::Result<()> {
+        let mut state = lock(&self.state);
+        if !state.set_status(id, status, detail) {
+            return Ok(());
+        }
+        self.append(&JournalLine {
+            seq: state.next_seq(),
+            id: id.to_string(),
+            status: status.as_str().to_string(),
+            key: None,
+            spec: None,
+            detail: detail.map(str::to_string),
+        })
+    }
+
+    /// Fetches one job.
+    pub fn get(&self, id: &str) -> Option<StoredJob> {
+        lock(&self.state).jobs.get(id).cloned()
+    }
+
+    /// All jobs in id order.
+    pub fn jobs(&self) -> Vec<StoredJob> {
+        lock(&self.state).jobs.values().cloned().collect()
     }
 
     fn append(&self, line: &JournalLine) -> io::Result<()> {
@@ -251,10 +244,9 @@ impl FileStore {
 /// newline, unparseable JSON) and status lines for unknown ids are
 /// counted and skipped; duplicate submissions of the same id are
 /// idempotent.
-fn replay(text: &str) -> (Inner, u64, ReplayReport) {
-    let mut inner = Inner::default();
+fn replay(text: &str) -> (State, ReplayReport) {
+    let mut state = State::default();
     let mut report = ReplayReport::default();
-    let mut seq = 0u64;
     for line in text.lines() {
         if line.trim().is_empty() {
             continue;
@@ -263,7 +255,7 @@ fn replay(text: &str) -> (Inner, u64, ReplayReport) {
             report.torn_lines += 1;
             continue;
         };
-        seq = seq.max(entry.seq.saturating_add(1));
+        state.seq = state.seq.max(entry.seq.saturating_add(1));
         let Some(status) = JobStatus::parse(&entry.status) else {
             report.torn_lines += 1;
             continue;
@@ -272,7 +264,7 @@ fn replay(text: &str) -> (Inner, u64, ReplayReport) {
             Some(spec) => {
                 // A submission line. Duplicates are idempotent: the
                 // first wins (a re-sent line cannot change the spec).
-                if !inner.jobs.contains_key(&entry.id) {
+                if !state.jobs.contains_key(&entry.id) {
                     let job = StoredJob {
                         id: entry.id.clone(),
                         key: entry.key.clone(),
@@ -281,83 +273,33 @@ fn replay(text: &str) -> (Inner, u64, ReplayReport) {
                         detail: entry.detail,
                     };
                     if let Some(key) = &entry.key {
-                        inner.by_key.insert(key.clone(), entry.id.clone());
+                        state.by_key.insert(key.clone(), entry.id.clone());
                     }
                     if let Some(n) = entry
                         .id
                         .strip_prefix("exp-")
                         .and_then(|n| n.parse::<u64>().ok())
                     {
-                        inner.next_job = inner.next_job.max(n + 1);
+                        state.next_job = state.next_job.max(n + 1);
                     }
-                    inner.jobs.insert(entry.id, job);
+                    state.jobs.insert(entry.id, job);
                 }
             }
             None => {
-                if !inner.set_status(&entry.id, status, entry.detail.as_deref()) {
+                if !state.set_status(&entry.id, status, entry.detail.as_deref()) {
                     report.orphan_lines += 1;
                 }
             }
         }
     }
-    report.jobs = inner.jobs.len();
-    report.pending = inner
+    report.jobs = state.jobs.len();
+    report.pending = state
         .jobs
         .values()
         .filter(|j| !j.status.is_terminal())
         .map(|j| j.id.clone())
         .collect();
-    (inner, seq, report)
-}
-
-impl JobStore for FileStore {
-    fn submit(&self, key: Option<&str>, spec_json: &str) -> io::Result<SubmitOutcome> {
-        let mut state = lock(&self.state);
-        let outcome = state.inner.submit(key, spec_json);
-        if let SubmitOutcome::Created(job) = &outcome {
-            let seq = state.seq;
-            state.seq += 1;
-            self.append(&JournalLine {
-                seq,
-                id: job.id.clone(),
-                status: job.status.as_str().to_string(),
-                key: job.key.clone(),
-                spec: Some(job.spec_json.clone()),
-                detail: None,
-            })?;
-        }
-        Ok(outcome)
-    }
-
-    fn set_status(
-        &self,
-        id: &str,
-        status: JobStatus,
-        detail: Option<&str>,
-    ) -> io::Result<()> {
-        let mut state = lock(&self.state);
-        if !state.inner.set_status(id, status, detail) {
-            return Ok(());
-        }
-        let seq = state.seq;
-        state.seq += 1;
-        self.append(&JournalLine {
-            seq,
-            id: id.to_string(),
-            status: status.as_str().to_string(),
-            key: None,
-            spec: None,
-            detail: detail.map(str::to_string),
-        })
-    }
-
-    fn get(&self, id: &str) -> Option<StoredJob> {
-        lock(&self.state).inner.jobs.get(id).cloned()
-    }
-
-    fn jobs(&self) -> Vec<StoredJob> {
-        lock(&self.state).inner.jobs.values().cloned().collect()
-    }
+    (state, report)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use treadmill_server::client;
-use treadmill_server::service::{start, ServeOptions, ServerHandle, StoreKind};
+use treadmill_server::service::{start, ServeOptions, ServerHandle};
 
 const TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -19,11 +19,10 @@ fn temp_state(tag: &str) -> PathBuf {
     dir
 }
 
-fn mem_server(tag: &str) -> (ServerHandle, String, PathBuf) {
+/// A service on a fresh state directory, journaling to its file store.
+fn server(tag: &str) -> (ServerHandle, String, PathBuf) {
     let state = temp_state(tag);
-    let mut opts = ServeOptions::new(&state);
-    opts.store = StoreKind::Memory;
-    let handle = start(opts).expect("start service");
+    let handle = start(ServeOptions::new(&state)).expect("start service");
     let addr = handle.addr().to_string();
     (handle, addr, state)
 }
@@ -85,7 +84,7 @@ fn shutdown(handle: ServerHandle, state: &PathBuf) {
 
 #[test]
 fn health_endpoints_respond() {
-    let (handle, addr, state) = mem_server("health");
+    let (handle, addr, state) = server("health");
     let resp = get(&addr, "/healthz");
     assert_eq!(resp.status, 200);
     assert_eq!(resp.text(), "ok\n");
@@ -100,7 +99,7 @@ fn health_endpoints_respond() {
 
 #[test]
 fn invalid_specs_get_typed_400s() {
-    let (handle, addr, state) = mem_server("badspec");
+    let (handle, addr, state) = server("badspec");
 
     // Malformed JSON.
     let resp = post_spec(&addr, "{not json", None);
@@ -137,7 +136,7 @@ fn invalid_specs_get_typed_400s() {
 
 #[test]
 fn unknown_routes_and_methods_are_typed() {
-    let (handle, addr, state) = mem_server("routes");
+    let (handle, addr, state) = server("routes");
     assert_eq!(get(&addr, "/experiments/exp-999999").status, 404);
     assert_eq!(get(&addr, "/nope").status, 404);
     let resp = client::request(&addr, "DELETE", "/healthz", &[], b"", TIMEOUT).unwrap();
@@ -147,7 +146,7 @@ fn unknown_routes_and_methods_are_typed() {
 
 #[test]
 fn submit_runs_to_done_and_serves_artifacts() {
-    let (handle, addr, state) = mem_server("lifecycle");
+    let (handle, addr, state) = server("lifecycle");
 
     // Big enough (3 cells × ~45k requests) that the job is still in
     // flight when the not-ready probe below lands.
@@ -195,7 +194,7 @@ fn submit_runs_to_done_and_serves_artifacts() {
 
 #[test]
 fn screened_spec_runs_two_stage_sweep_and_serves_screen_artifacts() {
-    let (handle, addr, state) = mem_server("screened");
+    let (handle, addr, state) = server("screened");
 
     // High threshold: the analytic screen keeps only the worst cells,
     // so the DES stage runs far fewer than 16 sweeps.
@@ -244,7 +243,7 @@ fn screened_spec_runs_two_stage_sweep_and_serves_screen_artifacts() {
 
 #[test]
 fn idempotency_key_deduplicates() {
-    let (handle, addr, state) = mem_server("dedup");
+    let (handle, addr, state) = server("dedup");
 
     let first = post_spec(&addr, &small_spec(3), Some("k-123"));
     assert_eq!(first.status, 201, "{}", first.text());
@@ -269,7 +268,6 @@ fn idempotency_key_deduplicates() {
 fn admission_queue_sheds_with_503_and_retry_after() {
     let state = temp_state("overload");
     let mut opts = ServeOptions::new(&state);
-    opts.store = StoreKind::Memory;
     opts.queue_cap = 1;
     let handle = start(opts).expect("start service");
     let addr = handle.addr().to_string();

@@ -1,7 +1,8 @@
 //! Chaos tests against the real `treadmill-serve` binary: SIGKILL
 //! mid-experiment and demand byte-identical artifacts after
-//! `--resume`; SIGTERM and demand a clean drain; overload bursts and
-//! demand shed-with-503 plus bounded memory.
+//! `--resume`; SIGTERM and demand a clean drain, and a screened job
+//! that resumes its cells; overload bursts and demand shed-with-503
+//! plus bounded memory.
 
 #![allow(clippy::unwrap_used)]
 
@@ -223,7 +224,7 @@ fn sigkilled_server_resumes_to_byte_identical_artifacts() {
 #[test]
 fn sigterm_drains_cleanly() {
     let root = temp_root("drain");
-    let (mut child, addr) = spawn_server(&root.join("state"), false, &["--mem-store"]);
+    let (mut child, addr) = spawn_server(&root.join("state"), false, &[]);
     assert_eq!(
         client::request(&addr, "GET", "/readyz", &[], b"", TIMEOUT).unwrap().status,
         200
@@ -261,6 +262,113 @@ fn sigterm_mid_experiment_seals_checkpoint_for_resume() {
     )
     .unwrap();
     assert_eq!(resp.status, 200, "{}", resp.text());
+
+    sigterm(&child);
+    let status = wait_exit(&mut child, Duration::from_secs(30));
+    assert!(status.success());
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// A screened mcrouter spec: the analytic screen flags a few of the 16
+/// hardware cells and the sweep simulates each flagged cell twice, so
+/// the job's journals live under `hw_NN/`, not in the job directory.
+fn screened_spec() -> &'static str {
+    r#"{"config":{"workload":{"workload":"mcrouter"},
+        "target_rps":200000,"clients":4,"connections_per_client":16,
+        "duration_ms":200,"warmup_ms":40,"seed":13,
+        "screen":{"threshold":0.2}},"runs":2,"ckpt_events":20000}"#
+}
+
+fn fetch(addr: &str, id: &str, route: &str) -> Vec<u8> {
+    let resp = client::request(
+        addr,
+        "GET",
+        &format!("/experiments/{id}/{route}"),
+        &[],
+        b"",
+        TIMEOUT,
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200, "{route}: {}", resp.text());
+    resp.body
+}
+
+/// True once a cell under a factorial job directory has written a
+/// checkpoint or a result, i.e. some simulation work is on disk.
+fn some_cell_on_disk(job_dir: &Path) -> bool {
+    let Ok(cells) = fs::read_dir(job_dir) else {
+        return false;
+    };
+    cells.flatten().any(|hw| {
+        fs::read_dir(hw.path()).is_ok_and(|files| {
+            files.flatten().any(|f| {
+                let name = f.file_name().to_string_lossy().into_owned();
+                name.starts_with("cell_") && (name.ends_with(".ckpt") || name.ends_with(".tsv"))
+            })
+        })
+    })
+}
+
+#[test]
+fn drained_screened_job_resumes_its_cells_to_identical_artifacts() {
+    let root = temp_root("screened");
+    let routes = ["factorial", "screen"];
+
+    // Golden: the same spec through an uninterrupted in-process server.
+    let golden: Vec<Vec<u8>> = {
+        let handle =
+            treadmill_server::start(treadmill_server::ServeOptions::new(root.join("golden")))
+                .expect("start golden server");
+        let addr = handle.addr().to_string();
+        let id = submit_id(&addr, screened_spec());
+        wait_done(&addr, &id);
+        let artifacts = routes.iter().map(|r| fetch(&addr, &id, r)).collect();
+        handle.drain();
+        handle.join().expect("golden server threads panicked");
+        artifacts
+    };
+
+    // Drain the real binary once a cell has work on disk, so the job
+    // stops mid-sweep with cells done or sealed at a checkpoint.
+    let state = root.join("state");
+    let (mut child, addr) = spawn_server(&state, false, &[]);
+    let id = submit_id(&addr, screened_spec());
+    let job_dir = state.join("jobs").join(&id);
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while !some_cell_on_disk(&job_dir) {
+        assert!(Instant::now() < deadline, "no cell of {id} reached disk");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    sigterm(&child);
+    let status = wait_exit(&mut child, Duration::from_secs(60));
+    assert!(status.success(), "mid-job drain exited {status}");
+    let audit = fs::read_to_string(state.join("audit.jsonl")).unwrap();
+    assert!(
+        audit.contains("\"event\":\"run-interrupted\""),
+        "the job finished before the drain reached it: {audit}"
+    );
+
+    let (mut child, addr) = spawn_server(&state, true, &[]);
+    wait_done(&addr, &id);
+    for (route, golden) in routes.iter().zip(&golden) {
+        assert_eq!(
+            &fetch(&addr, &id, route),
+            golden,
+            "{route} differs between uninterrupted and drained-then-resumed servers"
+        );
+    }
+
+    // The restart resumed the job rather than starting it over: the
+    // audit says so, and its cells were skipped or resumed, not re-run.
+    let audit = fs::read_to_string(state.join("audit.jsonl")).unwrap();
+    let resumed =
+        |l: &str| l.contains("\"event\":\"run-started\"") && l.contains("\"detail\":\"resume\"");
+    assert!(audit.lines().any(resumed), "{audit}");
+    let events = String::from_utf8(fetch(&addr, &id, "events")).unwrap();
+    assert!(
+        events.contains("skipped (already done)") || events.contains(": resumed at "),
+        "{events}"
+    );
 
     sigterm(&child);
     let status = wait_exit(&mut child, Duration::from_secs(30));

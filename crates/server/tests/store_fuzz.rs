@@ -2,7 +2,7 @@
 //!
 //! Two attack surfaces, two invariants:
 //!
-//! * the file `JobStore`'s journal can be torn mid-write, bit-flipped
+//! * the `FileStore`'s journal can be torn mid-write, bit-flipped
 //!   by the storage layer, or hold duplicate lines from a replayed
 //!   crash — `FileStore::open` must replay *any* such journal without
 //!   panicking, and a store recovered from corruption must still
@@ -17,7 +17,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use treadmill_server::store::{FileStore, JobStore};
+use treadmill_server::store::FileStore;
 use treadmill_server::{ExperimentSpec, JobStatus};
 
 fn temp_state(tag: &str) -> PathBuf {

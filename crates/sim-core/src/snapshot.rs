@@ -7,10 +7,11 @@
 //!   | word-folded FNV-1a-64 checksum of payload (u64 LE) | payload bytes
 //! ```
 //!
-//! The payload itself is written with [`SnapshotWriter`] and read back
-//! with [`SnapshotReader`] — fixed-width little-endian primitives only,
-//! floats as raw bit patterns, so encode/decode round-trips are
-//! bit-exact and independent of locale, platform or formatting. Every
+//! The payload is streamed through [`SnapshotWriter`] into a seekable
+//! sink, header last, and read back with [`SnapshotReader`] —
+//! fixed-width little-endian primitives only, floats as raw bit
+//! patterns, so encode/decode round-trips are bit-exact and
+//! independent of locale, platform or formatting. Every
 //! layer of the simulation (engine clock, event heap, RNG streams,
 //! cluster world, streaming estimators) serialises its *mutable* state
 //! through these primitives; immutable configuration is rebuilt from
@@ -218,12 +219,18 @@ pub trait SnapshotSink: io::Write + io::Seek {}
 
 impl<T: io::Write + io::Seek> SnapshotSink for T {}
 
-/// Staging-buffer size of a streaming [`SnapshotWriter`]: payload bytes
-/// are checksummed and handed to the sink whenever this much is staged.
+/// Staging-buffer size of a [`SnapshotWriter`]: payload bytes are
+/// checksummed and handed to the sink whenever this much is staged.
 const STAGE_BYTES: usize = 1 << 16;
 
-/// Where a streaming writer's staged bytes go.
-struct Spill<'s> {
+/// Streams a sealed snapshot into a [`SnapshotSink`]: fixed-width
+/// little-endian primitives go through a bounded staging buffer, the
+/// checksum is folded as bytes leave it, and the envelope header is
+/// written last. Memory stays bounded however large the snapshot; a
+/// caller that wants the bytes in memory streams into an
+/// [`io::Cursor`] over a `Vec<u8>`.
+pub struct SnapshotWriter<'s> {
+    buf: Vec<u8>,
     sink: &'s mut dyn SnapshotSink,
     checksum: Checksum64,
     /// The first write error; later writes are skipped and
@@ -231,86 +238,20 @@ struct Spill<'s> {
     error: Option<io::Error>,
 }
 
-impl fmt::Debug for Spill<'_> {
+impl fmt::Debug for SnapshotWriter<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Spill")
-            .field("streamed", &self.checksum.folded)
+        f.debug_struct("SnapshotWriter")
+            .field("len", &self.len())
             .field("error", &self.error)
             .finish()
     }
 }
 
-/// Appends fixed-width little-endian primitives to a payload buffer,
-/// or streams them through a bounded staging buffer into a
-/// [`SnapshotSink`] ([`Self::streaming`]).
-#[derive(Debug)]
-pub struct SnapshotWriter<'s> {
-    buf: Vec<u8>,
-    /// Offset where the payload starts: 0 for plain and streaming
-    /// writers, [`ENVELOPE_BYTES`] for writers created with
-    /// [`Self::sealing`].
-    base: usize,
-    /// Staged length that triggers a spill; `usize::MAX` unless
-    /// streaming.
-    spill_at: usize,
-    spill: Option<Spill<'s>>,
-}
-
-impl Default for SnapshotWriter<'_> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<'s> SnapshotWriter<'s> {
-    /// Creates an empty writer.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates an empty writer with `capacity` bytes pre-reserved —
-    /// callers that can estimate the payload size avoid growth copies
-    /// on multi-megabyte snapshots.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SnapshotWriter {
-            buf: Vec::with_capacity(capacity),
-            base: 0,
-            spill_at: usize::MAX,
-            spill: None,
-        }
-    }
-
-    /// Creates a writer that reserves room for the envelope header up
-    /// front so [`Self::into_sealed`] can fill it in place — a
-    /// multi-megabyte snapshot is sealed without the extra allocation
-    /// and copy that [`seal`] pays on an already-built payload.
-    pub fn sealing(capacity: usize) -> Self {
-        Self::sealing_reuse(Vec::new(), capacity)
-    }
-
-    /// Like [`Self::sealing`], but recycles `buf`'s allocation: the
-    /// vector is cleared and grown to at least `capacity` +
-    /// [`ENVELOPE_BYTES`]. Steady-state checkpointing hands the
-    /// previous snapshot's buffer back in, so repeated multi-megabyte
-    /// snapshots skip both the allocation and its page-fault cost.
-    pub fn sealing_reuse(mut buf: Vec<u8>, capacity: usize) -> Self {
-        buf.clear();
-        buf.reserve(capacity + ENVELOPE_BYTES);
-        buf.extend_from_slice(&[0u8; ENVELOPE_BYTES]);
-        SnapshotWriter {
-            buf,
-            base: ENVELOPE_BYTES,
-            spill_at: usize::MAX,
-            spill: None,
-        }
-    }
-
-    /// Creates a writer that streams a sealed snapshot into `sink`
-    /// through a bounded staging buffer, folding the checksum as bytes
-    /// leave it. A placeholder header goes first; [`Self::finish_streamed`]
-    /// overwrites it with the real one. The sink ends up holding
-    /// exactly the bytes [`Self::into_sealed`] would have returned, and
-    /// memory stays bounded however large the snapshot.
+    /// Creates a writer that streams a sealed snapshot into `sink`. A
+    /// placeholder header goes first; [`Self::finish_streamed`]
+    /// overwrites it with the real one, so the sink ends up holding
+    /// exactly [`seal`] of the payload.
     ///
     /// # Errors
     ///
@@ -320,13 +261,9 @@ impl<'s> SnapshotWriter<'s> {
         sink.write_all(&[0u8; ENVELOPE_BYTES])?;
         Ok(SnapshotWriter {
             buf: Vec::with_capacity(STAGE_BYTES + CHECKSUM_BLOCK),
-            base: 0,
-            spill_at: STAGE_BYTES,
-            spill: Some(Spill {
-                sink,
-                checksum: Checksum64::new(),
-                error: None,
-            }),
+            sink,
+            checksum: Checksum64::new(),
+            error: None,
         })
     }
 
@@ -334,14 +271,11 @@ impl<'s> SnapshotWriter<'s> {
     /// keeping the partial tail for the next spill.
     #[cold]
     fn spill(&mut self) {
-        let Some(spill) = self.spill.as_mut() else {
-            return;
-        };
         let whole = self.buf.len() - self.buf.len() % CHECKSUM_BLOCK;
-        spill.checksum.fold(&self.buf[..whole]);
-        if spill.error.is_none() {
-            if let Err(e) = spill.sink.write_all(&self.buf[..whole]) {
-                spill.error = Some(e);
+        self.checksum.fold(&self.buf[..whole]);
+        if self.error.is_none() {
+            if let Err(e) = self.sink.write_all(&self.buf[..whole]) {
+                self.error = Some(e);
             }
         }
         self.buf.drain(..whole);
@@ -349,79 +283,41 @@ impl<'s> SnapshotWriter<'s> {
 
     #[inline]
     fn staged(&mut self) {
-        if self.buf.len() >= self.spill_at {
+        if self.buf.len() >= STAGE_BYTES {
             self.spill();
         }
     }
 
-    /// Consumes a [`Self::streaming`] writer: flushes the staged tail,
-    /// then seeks back and writes the envelope header. Returns the
-    /// sealed snapshot's length in bytes. The caller syncs the sink.
+    /// Consumes the writer: flushes the staged tail, then seeks back
+    /// and writes the envelope header. Returns the sealed snapshot's
+    /// length in bytes. The caller syncs the sink.
     ///
     /// # Errors
     ///
-    /// Returns the first write or seek error the sink reported, or
-    /// [`io::ErrorKind::InvalidInput`] on a writer that was not
-    /// created with [`Self::streaming`].
+    /// Returns the first write or seek error the sink reported.
     pub fn finish_streamed(self) -> io::Result<u64> {
-        let Some(spill) = self.spill else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "finish_streamed requires a writer created with SnapshotWriter::streaming",
-            ));
-        };
-        if let Some(e) = spill.error {
+        let SnapshotWriter {
+            buf,
+            sink,
+            mut checksum,
+            error,
+        } = self;
+        if let Some(e) = error {
             return Err(e);
         }
-        let mut sum = spill.checksum;
-        let whole = self.buf.len() - self.buf.len() % CHECKSUM_BLOCK;
-        sum.fold(&self.buf[..whole]);
-        let len = sum.folded + (self.buf.len() - whole) as u64;
-        let checksum = sum.finish(&self.buf[whole..]);
-        spill.sink.write_all(&self.buf)?;
-        spill.sink.seek(io::SeekFrom::Start(0))?;
-        spill.sink.write_all(&envelope_header(len, checksum))?;
+        let whole = buf.len() - buf.len() % CHECKSUM_BLOCK;
+        checksum.fold(&buf[..whole]);
+        let len = checksum.folded + (buf.len() - whole) as u64;
+        let checksum = checksum.finish(&buf[whole..]);
+        sink.write_all(&buf)?;
+        sink.seek(io::SeekFrom::Start(0))?;
+        sink.write_all(&envelope_header(len, checksum))?;
         Ok(len + ENVELOPE_BYTES as u64)
     }
 
-    /// Consumes the writer, returning the raw payload bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a writer created with [`Self::sealing`] or
-    /// [`Self::streaming`] — its buffer does not hold a bare payload.
-    pub fn into_bytes(self) -> Vec<u8> {
-        // tml-lint: allow(PANIC002, the only service chain is a name-collision edge from String::into_bytes in job.rs; the documented misuse assert is unreachable there)
-        assert!(
-            self.base == 0 && self.spill.is_none(),
-            "a sealing writer must be consumed with into_sealed"
-        );
-        self.buf
-    }
-
-    /// Consumes a [`Self::sealing`] writer, filling the reserved
-    /// envelope header in place and returning the complete sealed
-    /// snapshot (readable with [`open`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a writer not created with [`Self::sealing`] — a plain
-    /// writer has no header reservation to fill.
-    pub fn into_sealed(mut self) -> Vec<u8> {
-        assert_eq!(
-            self.base, ENVELOPE_BYTES,
-            "into_sealed requires a writer created with SnapshotWriter::sealing"
-        );
-        let payload_len = self.buf.len() - ENVELOPE_BYTES;
-        let checksum = checksum64(&self.buf[ENVELOPE_BYTES..]);
-        self.buf[..ENVELOPE_BYTES].copy_from_slice(&envelope_header(payload_len as u64, checksum));
-        self.buf
-    }
-
-    /// Payload length so far (excluding any envelope header).
+    /// Payload length so far (excluding the envelope header).
     pub fn len(&self) -> usize {
-        let streamed = self.spill.as_ref().map_or(0, |s| s.checksum.folded);
-        usize::try_from(streamed).unwrap_or(usize::MAX) + self.buf.len() - self.base
+        usize::try_from(self.checksum.folded).unwrap_or(usize::MAX) + self.buf.len()
     }
 
     /// True if nothing has been written.
@@ -661,23 +557,32 @@ impl<'a> SnapshotReader<'a> {
 mod tests {
     use super::*;
 
+    /// The envelope `fill` streams into memory.
+    fn streamed(fill: impl FnOnce(&mut SnapshotWriter<'_>)) -> Vec<u8> {
+        let mut sink = io::Cursor::new(Vec::new());
+        let mut w = SnapshotWriter::streaming(&mut sink).unwrap();
+        fill(&mut w);
+        w.finish_streamed().unwrap();
+        sink.into_inner()
+    }
+
     #[test]
     fn primitives_round_trip_bit_exact() {
-        let mut w = SnapshotWriter::new();
-        w.put_u8(0xAB);
-        w.put_bool(true);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX - 1);
-        w.put_u128(u128::MAX >> 1);
-        w.put_usize(12_345);
-        w.put_f64(-0.0);
-        w.put_f64(f64::from_bits(0x7ff8_dead_beef_0001)); // NaN payload
-        w.put_time(SimTime::from_nanos(42));
-        w.put_duration(SimDuration::from_micros(7));
-        w.put_bytes(b"payload");
-        let bytes = w.into_bytes();
+        let sealed = streamed(|w| {
+            w.put_u8(0xAB);
+            w.put_bool(true);
+            w.put_u32(0xDEAD_BEEF);
+            w.put_u64(u64::MAX - 1);
+            w.put_u128(u128::MAX >> 1);
+            w.put_usize(12_345);
+            w.put_f64(-0.0);
+            w.put_f64(f64::from_bits(0x7ff8_dead_beef_0001)); // NaN payload
+            w.put_time(SimTime::from_nanos(42));
+            w.put_duration(SimDuration::from_micros(7));
+            w.put_bytes(b"payload");
+        });
 
-        let mut r = SnapshotReader::new(&bytes);
+        let mut r = SnapshotReader::new(open(&sealed).unwrap());
         assert_eq!(r.get_u8().unwrap(), 0xAB);
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
@@ -721,13 +626,14 @@ mod tests {
 
     #[test]
     fn bad_bool_and_trailing_bytes_are_malformed() {
-        let mut w = SnapshotWriter::new();
-        w.put_u8(7);
-        w.put_u8(0);
-        let bytes = w.into_bytes();
-        let mut r = SnapshotReader::new(&bytes);
+        let sealed = streamed(|w| {
+            w.put_u8(7);
+            w.put_u8(0);
+        });
+        let bytes = open(&sealed).unwrap();
+        let mut r = SnapshotReader::new(bytes);
         assert!(matches!(r.get_bool(), Err(SnapshotError::Malformed(_))));
-        let mut r2 = SnapshotReader::new(&bytes);
+        let mut r2 = SnapshotReader::new(bytes);
         let _ = r2.get_u8().unwrap();
         assert!(matches!(r2.finish(), Err(SnapshotError::Malformed(_))));
     }
@@ -755,28 +661,30 @@ mod tests {
             STAGE_BYTES,
             3 * STAGE_BYTES + 45,
         ] {
-            let payload: Vec<u8> = (0..len).map(|i| (i * 31 % 253) as u8).collect();
-            let fill = |w: &mut SnapshotWriter<'_>| {
-                // Mixed widths, so spills land mid-field.
-                w.put_u64(len as u64);
-                for chunk in payload.chunks(13) {
-                    w.put_raw(chunk);
-                    w.put_u8(0xA5);
-                }
-                w.put_bytes(&payload[..len.min(40)]);
-            };
-            let mut sealed = SnapshotWriter::sealing(0);
-            fill(&mut sealed);
-            let sealed = sealed.into_sealed();
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 253) as u8).collect();
+            let head = &data[..len.min(40)];
+            // Mixed widths, so spills land mid-field.
+            let mut payload = (len as u64).to_le_bytes().to_vec();
+            for chunk in data.chunks(13) {
+                payload.extend_from_slice(chunk);
+                payload.push(0xA5);
+            }
+            payload.extend_from_slice(&(head.len() as u64).to_le_bytes());
+            payload.extend_from_slice(head);
+            let sealed = seal(&payload);
 
             let mut sink = io::Cursor::new(Vec::new());
-            let mut streamed = SnapshotWriter::streaming(&mut sink).unwrap();
-            fill(&mut streamed);
-            assert_eq!(streamed.len() + ENVELOPE_BYTES, sealed.len());
-            assert_eq!(streamed.finish_streamed().unwrap(), sealed.len() as u64);
+            let mut w = SnapshotWriter::streaming(&mut sink).unwrap();
+            w.put_u64(len as u64);
+            for chunk in data.chunks(13) {
+                w.put_raw(chunk);
+                w.put_u8(0xA5);
+            }
+            w.put_bytes(head);
+            assert_eq!(w.len(), payload.len());
+            assert_eq!(w.finish_streamed().unwrap(), sealed.len() as u64);
             assert_eq!(sink.into_inner(), sealed, "payload length {len}");
         }
-        assert!(SnapshotWriter::new().finish_streamed().is_err());
     }
 
     #[test]

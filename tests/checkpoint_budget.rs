@@ -8,9 +8,12 @@
 //! timed checkpoint calls by the plain run's wall instead of differencing
 //! two noisy walls. The runs are deterministic: minima over interleaved
 //! repetitions strip the noise without letting a load spike bias one
-//! variant. The checkpoint buffer is recycled across repetitions as
-//! `run_sweep` recycles it across checkpoints, so the budget bounds the
-//! steady state, not the first allocation.
+//! variant. `checkpoint_into` streams through the encoder the sweep
+//! runs (`checkpoint_to`, the only one there is) into an in-memory
+//! sink, so the budget times the production encoder without the
+//! filesystem's noise; the sink's buffer is recycled across
+//! checkpoints, so it bounds the steady state, not the first
+//! allocation.
 //!
 //! The budget bounds optimized code, so it is asserted only without
 //! debug assertions; CI runs this file with `--release`. The test
