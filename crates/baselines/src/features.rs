@@ -19,6 +19,7 @@ pub struct FeatureSupport {
 
 impl FeatureSupport {
     /// Number of requirements satisfied.
+    #[cfg(test)]
     pub fn score(&self) -> u8 {
         u8::from(self.query_interarrival)
             + u8::from(self.statistical_aggregation)

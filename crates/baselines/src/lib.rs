@@ -6,7 +6,6 @@
 //! that run against the simulated cluster:
 //!
 //! * [`ycsb`] — single-client, closed-loop, static histogram;
-//! * [`faban`] — multi-agent but closed-loop, static histogram;
 //! * [`cloudsuite`] — open-loop but single heavy client;
 //! * [`mutilate`] — 8 efficient agents but closed-loop;
 //! * [`treadmill_shape`] — Treadmill expressed in the same vocabulary.
@@ -38,4 +37,4 @@ mod testers;
 
 pub use common::{run_profile, BaselineReport, ControlLoop, MeasurementStyle, TesterProfile};
 pub use features::{feature_table, FeatureRow, FeatureSupport};
-pub use testers::{cloudsuite, faban, mutilate, treadmill_shape, ycsb};
+pub use testers::{cloudsuite, mutilate, treadmill_shape, ycsb};

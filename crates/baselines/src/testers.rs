@@ -25,25 +25,6 @@ pub fn ycsb() -> TesterProfile {
     }
 }
 
-/// Faban-like tester: **multi-client** agents but a **closed-loop**
-/// driver model, moderate per-op cost, statically binned response-time
-/// histograms.
-pub fn faban() -> TesterProfile {
-    TesterProfile {
-        name: "Faban",
-        clients: 4,
-        connections_per_client: 16,
-        send_cpu_ns: 2_000.0,
-        recv_cpu_ns: 2_000.0,
-        control: ControlLoop::Closed,
-        measurement: MeasurementStyle::StaticHistogram {
-            lower_us: 0.0,
-            upper_us: 2_000.0,
-            bins: 1_000,
-        },
-    }
-}
-
 /// CloudSuite-like tester: a proper **open-loop** generator, but a
 /// **single client** with a heavy per-operation cost — the paper shows
 /// it "measures a drastically higher tail latency … because of heavy

@@ -42,11 +42,6 @@ pub struct PacketCapture {
 }
 
 impl PacketCapture {
-    /// An empty capture.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Captures every record whose request was generated at or after
     /// `warmup` (matching the load tester's own discard window).
     pub fn from_records<'a>(
@@ -76,11 +71,6 @@ impl PacketCapture {
     /// True if nothing was captured.
     pub fn is_empty(&self) -> bool {
         self.sorted_latencies_us.is_empty()
-    }
-
-    /// Ground-truth latencies in microseconds, sorted ascending.
-    pub fn latencies_us(&self) -> &[f64] {
-        &self.sorted_latencies_us
     }
 
     /// The ground-truth `p`-quantile in microseconds.
@@ -148,8 +138,7 @@ mod tests {
         let records = vec![record(0, 10, 60), record(5, 15, 115)];
         let cap = PacketCapture::from_records(&records, SimTime::ZERO);
         assert_eq!(cap.len(), 2);
-        let lats = cap.latencies_us();
-        assert_eq!(lats, vec![50.0, 100.0]);
+        assert_eq!(cap.sorted_latencies_us, vec![50.0, 100.0]);
         assert_eq!(cap.quantile_us(0.0), 50.0);
         assert_eq!(cap.quantile_us(1.0), 100.0);
     }
@@ -177,7 +166,7 @@ mod tests {
 
     #[test]
     fn empty_capture() {
-        let cap = PacketCapture::new();
+        let cap = PacketCapture::default();
         assert!(cap.is_empty());
         assert!(cap.cdf_points(10).is_empty());
     }

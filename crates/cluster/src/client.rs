@@ -138,12 +138,6 @@ impl ClientMachine {
         self.cpu.utilization(now)
     }
 
-    /// Mean client-CPU queueing delay per operation, µs (diagnostics —
-    /// this is the §II-C bias in the flesh).
-    pub fn mean_cpu_queueing_us(&self) -> f64 {
-        self.cpu.mean_queueing_micros()
-    }
-
     /// The client-CPU queue state, captured for checkpointing.
     pub(crate) fn cpu_state(&self) -> treadmill_sim_core::RateQueueState {
         self.cpu.state()
@@ -165,6 +159,12 @@ mod tests {
     use super::*;
     use crate::source::PoissonSource;
     use rand::SeedableRng;
+
+    /// Mean client-CPU queueing delay per operation, µs.
+    fn mean_cpu_queueing_us(m: &ClientMachine) -> f64 {
+        let cpu = m.cpu_state();
+        cpu.total_queueing.as_micros_f64() / cpu.jobs as f64
+    }
 
     fn machine(send_ns: f64, recv_ns: f64) -> ClientMachine {
         ClientMachine::new(
@@ -199,7 +199,7 @@ mod tests {
         }
         // 10 × 4us = 40us of CPU; the last send waited ~36us.
         assert!(last >= SimTime::from_nanos(1_000 + 40_000 + 12_000));
-        assert!(m.mean_cpu_queueing_us() > 10.0);
+        assert!(mean_cpu_queueing_us(&m) > 10.0);
     }
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
         for i in 0..100 {
             let _ = m.tx_ready_at(SimTime::from_micros(i * 100));
         }
-        assert!(m.mean_cpu_queueing_us() < 0.01);
+        assert!(mean_cpu_queueing_us(&m) < 0.01);
         assert!(m.cpu_utilization(SimTime::from_millis(10)) < 0.05);
     }
 }

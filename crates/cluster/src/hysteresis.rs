@@ -148,10 +148,6 @@ impl RunState {
         self.service_factor
     }
 
-    /// Total connections across clients.
-    pub fn total_connections(&self) -> usize {
-        self.states.len()
-    }
 }
 
 #[cfg(test)]
@@ -257,7 +253,7 @@ mod tests {
             &[4, 8, 2],
             &mut rng,
         );
-        assert_eq!(state.total_connections(), 14);
+        assert_eq!(state.states.len(), 14);
         // Last connection of last client is addressable.
         let _ = state.connection(2, 1);
     }

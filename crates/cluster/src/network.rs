@@ -94,21 +94,6 @@ impl Network {
         backlog.as_nanos() as f64 * self.spec.bytes_per_ns
     }
 
-    /// Server-ingress utilisation over `[0, now]` (diagnostics).
-    pub fn ingress_utilization(&self, now: SimTime) -> f64 {
-        self.server_ingress.utilization(now)
-    }
-
-    /// Server-egress utilisation over `[0, now]` (diagnostics).
-    pub fn egress_utilization(&self, now: SimTime) -> f64 {
-        self.server_egress.utilization(now)
-    }
-
-    /// A client uplink's utilisation over `[0, now]` (diagnostics).
-    pub fn uplink_utilization(&self, client: usize, now: SimTime) -> f64 {
-        self.client_uplinks[client].utilization(now)
-    }
-
     /// All link-queue states in a fixed order (uplinks, downlinks,
     /// server ingress, server egress), captured for checkpointing.
     pub(crate) fn checkpoint_state(&self) -> Vec<treadmill_sim_core::RateQueueState> {
@@ -181,7 +166,7 @@ mod tests {
         }
         // 1000 × 1us of serialisation.
         assert!(last >= SimTime::from_micros(1_000));
-        assert!(net.uplink_utilization(0, last) > 0.95);
+        assert!(net.client_uplinks[0].utilization(last) > 0.95);
     }
 
     #[test]
@@ -200,7 +185,7 @@ mod tests {
         let arrival = out + net.propagation(0);
         let done = net.downlink_departure(0, arrival, 250);
         assert!(done > arrival);
-        assert!(net.egress_utilization(done) > 0.0);
-        assert!(net.ingress_utilization(done) == 0.0);
+        assert!(net.server_egress.utilization(done) > 0.0);
+        assert!(net.server_ingress.utilization(done) == 0.0);
     }
 }

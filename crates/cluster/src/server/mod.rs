@@ -92,11 +92,6 @@ impl Server {
         &self.spec
     }
 
-    /// The hardware configuration under test.
-    pub fn hardware(&self) -> HardwareConfig {
-        self.hw
-    }
-
     /// The thermal model (for diagnostics).
     pub fn thermal(&self) -> &ThermalModel {
         &self.thermal

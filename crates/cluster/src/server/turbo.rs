@@ -86,11 +86,6 @@ impl ThermalModel {
         self.turbo_ghz - (self.turbo_ghz - self.base_ghz) * over
     }
 
-    /// True if turbo is enabled in this configuration.
-    pub fn turbo_enabled(&self) -> bool {
-        self.turbo_enabled
-    }
-
     /// Overwrites the heat state from a checkpoint. All other fields
     /// are configuration and survive a rebuild unchanged.
     pub(crate) fn restore_heat(&mut self, heat: f64) {

@@ -106,11 +106,6 @@ impl ShardedCluster {
         self.shards.len()
     }
 
-    /// Worker threads used per call.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Synchronization rounds executed so far (windowed mode only).
     pub fn rounds(&self) -> u64 {
         self.rounds

@@ -11,33 +11,18 @@
 use std::fmt;
 
 use rand::RngCore;
-use serde::Deserialize;
 use treadmill_sim_core::{SimDuration, SimTime};
 
 use crate::source::{SendOrder, TrafficSource};
 
-/// Typed errors from trace construction and parsing — malformed input
-/// surfaces as a readable message instead of a panic.
+/// Typed errors from trace construction — malformed input surfaces as
+/// a readable message instead of a panic.
 #[derive(Debug)]
 pub enum TraceError {
     /// The trace contains no send instants.
     Empty,
     /// `connections` was zero.
     ZeroConnections,
-    /// An absolute schedule was not strictly increasing at this index.
-    NotIncreasing {
-        /// Index of the first offending entry.
-        index: usize,
-    },
-    /// A gap was negative or not finite.
-    InvalidGap {
-        /// Index of the offending gap.
-        index: usize,
-        /// The value found, microseconds.
-        value_us: f64,
-    },
-    /// The trace JSON did not parse.
-    Json(serde_json::Error),
 }
 
 impl fmt::Display for TraceError {
@@ -45,46 +30,11 @@ impl fmt::Display for TraceError {
         match self {
             TraceError::Empty => write!(f, "empty trace: need at least one send"),
             TraceError::ZeroConnections => write!(f, "need at least one connection"),
-            TraceError::NotIncreasing { index } => {
-                write!(f, "schedule must be strictly increasing (entry {index})")
-            }
-            TraceError::InvalidGap { index, value_us } => {
-                write!(f, "gap {index} must be finite and non-negative, got {value_us} us")
-            }
-            TraceError::Json(e) => write!(f, "invalid trace JSON: {e}"),
         }
     }
 }
 
-impl std::error::Error for TraceError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            TraceError::Json(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<serde_json::Error> for TraceError {
-    fn from(e: serde_json::Error) -> Self {
-        TraceError::Json(e)
-    }
-}
-
-/// The on-disk trace format: inter-arrival gaps in microseconds plus
-/// replay options.
-#[derive(Debug, Deserialize)]
-struct TraceFile {
-    gaps_us: Vec<f64>,
-    #[serde(default = "default_trace_connections")]
-    connections: u32,
-    #[serde(default)]
-    looped: bool,
-}
-
-fn default_trace_connections() -> u32 {
-    1
-}
+impl std::error::Error for TraceError {}
 
 /// Replays a fixed schedule of send instants, optionally looping.
 ///
@@ -123,7 +73,6 @@ impl TraceSource {
             Ok(source) => source,
             Err(TraceError::Empty) => panic!("empty trace"),
             Err(TraceError::ZeroConnections) => panic!("need at least one connection"),
-            Err(e) => panic!("{e}"),
         }
     }
 
@@ -150,69 +99,6 @@ impl TraceSource {
             next_index: 0,
             next_conn: 0,
         })
-    }
-
-    /// Builds a trace from a target schedule of absolute send times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `times` is empty or not strictly increasing.
-    pub fn from_schedule(times: &[SimTime], connections: u32, looped: bool) -> Self {
-        match Self::try_from_schedule(times, connections, looped) {
-            Ok(source) => source,
-            Err(TraceError::Empty) => panic!("empty trace"),
-            Err(TraceError::NotIncreasing { .. }) => {
-                panic!("schedule must be strictly increasing")
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Fallible form of [`TraceSource::from_schedule`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Empty`], [`TraceError::NotIncreasing`], or
-    /// [`TraceError::ZeroConnections`].
-    pub fn try_from_schedule(
-        times: &[SimTime],
-        connections: u32,
-        looped: bool,
-    ) -> Result<Self, TraceError> {
-        if times.is_empty() {
-            return Err(TraceError::Empty);
-        }
-        let mut gaps = Vec::with_capacity(times.len());
-        let mut prev = SimTime::ZERO;
-        for (index, &t) in times.iter().enumerate() {
-            if t <= prev {
-                return Err(TraceError::NotIncreasing { index });
-            }
-            gaps.push(t.duration_since(prev));
-            prev = t;
-        }
-        Self::try_new(gaps, connections, looped)
-    }
-
-    /// Parses a trace from JSON:
-    /// `{"gaps_us": [10.0, 20.0, ...], "connections": 4, "looped": false}`
-    /// (`connections` defaults to 1, `looped` to false).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Json`] on malformed JSON,
-    /// [`TraceError::InvalidGap`] on negative or non-finite gaps, and
-    /// the construction errors of [`TraceSource::try_new`].
-    pub fn from_json(json: &str) -> Result<Self, TraceError> {
-        let file: TraceFile = serde_json::from_str(json)?;
-        let mut gaps = Vec::with_capacity(file.gaps_us.len());
-        for (index, &value_us) in file.gaps_us.iter().enumerate() {
-            if !value_us.is_finite() || value_us < 0.0 {
-                return Err(TraceError::InvalidGap { index, value_us });
-            }
-            gaps.push(SimDuration::from_micros_f64(value_us));
-        }
-        Self::try_new(gaps, file.connections, file.looped)
     }
 
     /// Trace length in sends.
@@ -305,18 +191,6 @@ mod tests {
     }
 
     #[test]
-    fn from_schedule_computes_gaps() {
-        let times = [
-            SimTime::from_micros(3),
-            SimTime::from_micros(7),
-            SimTime::from_micros(20),
-        ];
-        let src = TraceSource::from_schedule(&times, 1, false);
-        assert_eq!(src.len(), 3);
-        assert!(!src.is_empty());
-    }
-
-    #[test]
     fn replay_is_deterministic_across_hardware_configs() {
         use crate::{ClientSpec, ClusterBuilder, HardwareConfig};
         use std::sync::Arc;
@@ -357,13 +231,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_schedule_rejected() {
-        let times = [SimTime::from_micros(5), SimTime::from_micros(5)];
-        TraceSource::from_schedule(&times, 1, false);
-    }
-
-    #[test]
     fn try_constructors_return_typed_errors() {
         assert!(matches!(
             TraceSource::try_new(vec![], 1, false),
@@ -373,38 +240,6 @@ mod tests {
             TraceSource::try_new(vec![SimDuration::from_micros(1)], 0, false),
             Err(TraceError::ZeroConnections)
         ));
-        let times = [SimTime::from_micros(5), SimTime::from_micros(5)];
-        let err = TraceSource::try_from_schedule(&times, 1, false).unwrap_err();
-        assert!(matches!(err, TraceError::NotIncreasing { index: 1 }));
-        assert!(err.to_string().contains("strictly increasing"));
-    }
-
-    #[test]
-    fn json_trace_round_trips() {
-        let src = TraceSource::from_json(
-            r#"{"gaps_us": [10.0, 20.0], "connections": 4, "looped": true}"#,
-        )
-        .unwrap();
-        assert_eq!(src.len(), 2);
-        let mut r = rng();
-        let mut src = src;
-        assert_eq!(src.start(SimTime::ZERO, &mut r)[0].at, SimTime::from_micros(10));
-    }
-
-    #[test]
-    fn json_trace_defaults_and_errors() {
-        let src = TraceSource::from_json(r#"{"gaps_us": [5.0]}"#).unwrap();
-        assert_eq!(src.len(), 1);
-        assert!(matches!(
-            TraceSource::from_json("{"),
-            Err(TraceError::Json(_))
-        ));
-        let err = TraceSource::from_json(r#"{"gaps_us": [5.0, -1.0]}"#).unwrap_err();
-        assert!(matches!(err, TraceError::InvalidGap { index: 1, .. }));
-        assert!(err.to_string().contains("non-negative"));
-        assert!(matches!(
-            TraceSource::from_json(r#"{"gaps_us": []}"#),
-            Err(TraceError::Empty)
-        ));
+        assert!(TraceError::ZeroConnections.to_string().contains("connection"));
     }
 }

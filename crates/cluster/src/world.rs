@@ -221,16 +221,6 @@ impl ClusterWorld {
         self.stop_sending_at.duration_since(SimTime::ZERO)
     }
 
-    /// The per-run placement state (diagnostics).
-    pub fn run_state(&self) -> &RunState {
-        &self.run_state
-    }
-
-    /// Requests currently in flight.
-    pub fn outstanding(&self) -> u32 {
-        self.outstanding
-    }
-
     /// True if a retry policy is active, in which case every in-flight
     /// logical request has an entry in its client's tracking map.
     pub(crate) fn tracks_in_flight(&self) -> bool {
@@ -239,9 +229,9 @@ impl ClusterWorld {
 
     /// Corrupts the in-flight counter by `delta` — a deliberate
     /// conservation violation for exercising the invariant auditor in
-    /// negative tests. Never call this outside tests.
-    #[doc(hidden)]
-    pub fn debug_skew_outstanding(&mut self, delta: u32) {
+    /// negative tests.
+    #[cfg(test)]
+    pub(crate) fn debug_skew_outstanding(&mut self, delta: u32) {
         self.outstanding += delta;
     }
 
@@ -781,7 +771,6 @@ pub struct ClusterBuilder {
     workload: Arc<dyn Workload>,
     hardware: HardwareConfig,
     server_spec: ServerSpec,
-    network_spec: NetworkSpec,
     clients: Vec<(ClientSpec, Box<dyn TrafficSource>)>,
     seed: u64,
     duration: SimDuration,
@@ -800,7 +789,6 @@ impl ClusterBuilder {
             workload,
             hardware: HardwareConfig::default(),
             server_spec: ServerSpec::default(),
-            network_spec: NetworkSpec::default(),
             clients: Vec::new(),
             seed: 0,
             duration: SimDuration::from_millis(100),
@@ -821,12 +809,6 @@ impl ClusterBuilder {
     /// Overrides the server specification.
     pub fn server_spec(mut self, spec: ServerSpec) -> Self {
         self.server_spec = spec;
-        self
-    }
-
-    /// Overrides the network specification.
-    pub fn network_spec(mut self, spec: NetworkSpec) -> Self {
-        self.network_spec = spec;
         self
     }
 
@@ -929,7 +911,7 @@ impl ClusterBuilder {
         let world = ClusterWorld {
             workload: self.workload,
             server,
-            network: Network::new(self.network_spec, &racks),
+            network: Network::new(NetworkSpec::default(), &racks),
             clients,
             run_state,
             stop_sending_at,
@@ -1161,17 +1143,6 @@ impl RunResult {
         failed as f64 / settled as f64
     }
 
-    /// Right-censored latencies (µs) of requests abandoned at or after
-    /// `warmup` — lower bounds for the omission-correction estimator.
-    pub fn censored_latencies_us(&self, warmup: SimTime) -> Vec<f64> {
-        self.client_failures
-            .iter()
-            .flatten()
-            .filter(|f| f.t_generated >= warmup)
-            .map(FailureRecord::censored_latency_us)
-            .collect()
-    }
-
     /// User-space latencies (µs) of records generated at or after
     /// `warmup` — the load tester's view with warm-up discarded.
     pub fn user_latencies_us(&self, warmup: SimTime) -> Vec<f64> {
@@ -1205,13 +1176,6 @@ impl RunResult {
         within as f64 / total as f64
     }
 
-    /// tcpdump ground-truth latencies (µs) after `warmup`.
-    pub fn nic_latencies_us(&self, warmup: SimTime) -> Vec<f64> {
-        self.all_records()
-            .filter(|r| r.t_generated >= warmup)
-            .map(ResponseRecord::nic_latency_us)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -1251,7 +1215,11 @@ mod tests {
         let result = quick_run(50_000.0, 2);
         let warmup = SimTime::from_millis(10);
         let user = result.user_latencies_us(warmup);
-        let nic = result.nic_latencies_us(warmup);
+        let nic: Vec<f64> = result
+            .all_records()
+            .filter(|r| r.t_generated >= warmup)
+            .map(ResponseRecord::nic_latency_us)
+            .collect();
         let gap = quantile(&user, 0.5) - quantile(&nic, 0.5);
         // kernel_tx 12us + kernel_rx 16us + 2 cpu ops ~1.6us ≈ 29.6us.
         assert!(gap > 20.0 && gap < 40.0, "gap {gap}us");
@@ -1344,7 +1312,7 @@ mod tests {
         let at_p99 = result.sla_attainment(warmup, SimDuration::from_micros(p99 as u64 + 1));
         assert!((at_p99 - 0.99).abs() < 0.01, "attainment at p99 = {at_p99}");
         assert_eq!(
-            result.sla_attainment(warmup, SimDuration::from_secs(10)),
+            result.sla_attainment(warmup, SimDuration::from_millis(10_000)),
             1.0,
             "everything meets a 10s deadline"
         );

@@ -102,7 +102,7 @@ impl From<SpecError> for ConfigError {
 ///     "warmup_ms": 50
 /// }"#)?;
 /// let test = config.build()?;
-/// assert_eq!(test.target_rps(), 100_000.0);
+/// assert_eq!(test.warmup_window().as_nanos(), 50_000_000);
 /// # Ok::<(), treadmill_core::ConfigError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -38,11 +38,6 @@ impl OpenLoopSource {
         }
     }
 
-    /// The configured inter-arrival process.
-    pub fn process(&self) -> InterArrival {
-        self.process
-    }
-
     fn next_order(&mut self, now: SimTime, rng: &mut dyn RngCore) -> SendOrder {
         let at = now + self.process.sample_gap(rng);
         let conn = self.next_conn;
@@ -114,10 +109,6 @@ impl ClosedLoopSource {
         }
     }
 
-    /// Number of worker connections (the outstanding-request cap).
-    pub fn connections(&self) -> u32 {
-        self.connections
-    }
 }
 
 impl TrafficSource for ClosedLoopSource {
@@ -178,11 +169,6 @@ impl RateLimitedClosedLoopSource {
             connections,
             schedule_head: SimTime::ZERO,
         }
-    }
-
-    /// The outstanding-request cap.
-    pub fn connections(&self) -> u32 {
-        self.connections
     }
 
     fn take_slot(&mut self, rng: &mut dyn RngCore) -> SimTime {

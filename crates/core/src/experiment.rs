@@ -9,7 +9,7 @@
 use treadmill_stats::LatencySummary;
 
 use crate::convergence::ConvergenceTracker;
-use crate::runner::{LoadTest, LoadTestReport};
+use crate::runner::LoadTest;
 
 /// Controls the repeated-run procedure.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,10 +56,6 @@ impl ExperimentOutcome {
         self.runs.len()
     }
 
-    /// Mean of an arbitrary reported percentile across runs.
-    pub fn mean_percentile(&self, p: f64) -> f64 {
-        self.runs.iter().map(|s| s.percentile(p)).sum::<f64>() / self.runs.len() as f64
-    }
 }
 
 /// Runs a [`LoadTest`] repeatedly until its per-run p99 mean converges.
@@ -110,13 +106,6 @@ pub fn run_until_converged_with(
     }
 }
 
-/// Convenience: a single run's report plus its index, for callers that
-/// need raw records alongside the procedure (e.g. Figure 4's
-/// convergence traces).
-pub fn single_run(test: &LoadTest, run_index: u64) -> LoadTestReport {
-    test.run(run_index)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,15 +149,6 @@ mod tests {
         assert!(!outcome.converged);
         assert_eq!(outcome.num_runs(), 6);
         assert!(outcome.stddev_p99 > 50.0);
-    }
-
-    #[test]
-    fn mean_percentile_lookup() {
-        let outcome = run_until_converged_with(ExperimentOptions::default(), |_| {
-            fake_summary(10.0, 20.0)
-        });
-        assert!((outcome.mean_percentile(0.99) - 20.0).abs() < 1e-9);
-        assert!((outcome.mean_percentile(0.50) - 10.0).abs() < 1e-9);
     }
 
     #[test]

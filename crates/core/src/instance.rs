@@ -1,10 +1,10 @@
 //! A Treadmill instance: per-client online latency aggregation.
 
 use treadmill_cluster::ResponseRecord;
-use treadmill_sim_core::{SimDuration, SimTime};
+use treadmill_sim_core::SimTime;
 use treadmill_stats::{AdaptiveHistogram, HistogramConfig, LatencySummary};
 
-use crate::phases::{current_phase, Phase, PhaseConfig};
+use crate::phases::PhaseConfig;
 
 /// Configuration for a [`TreadmillInstance`].
 #[derive(Debug, Clone)]
@@ -39,17 +39,13 @@ impl Default for InstanceConfig {
 /// ```
 /// use treadmill_core::{InstanceConfig, TreadmillInstance};
 ///
-/// let instance = TreadmillInstance::new(InstanceConfig::default());
-/// assert_eq!(instance.samples(), 0);
+/// let _instance = TreadmillInstance::new(InstanceConfig::default());
 /// ```
 #[derive(Debug, Clone)]
 pub struct TreadmillInstance {
     config: InstanceConfig,
     histogram: AdaptiveHistogram,
-    discarded: u64,
-    skipped: u64,
     seen: u64,
-    last_observed: SimTime,
 }
 
 impl TreadmillInstance {
@@ -59,24 +55,18 @@ impl TreadmillInstance {
         TreadmillInstance {
             histogram: AdaptiveHistogram::with_config(config.histogram.clone()),
             config,
-            discarded: 0,
-            skipped: 0,
             seen: 0,
-            last_observed: SimTime::ZERO,
         }
     }
 
     /// Observes one completed request. Samples generated during warm-up
     /// are discarded; the rest feed the adaptive histogram.
     pub fn observe(&mut self, record: &ResponseRecord) {
-        self.last_observed = self.last_observed.max(record.t_delivered);
         if record.t_generated < SimTime::ZERO + self.config.phases.warmup {
-            self.discarded += 1;
             return;
         }
         self.seen += 1;
         if self.config.sample_one_in > 1 && !self.seen.is_multiple_of(self.config.sample_one_in) {
-            self.skipped += 1;
             return;
         }
         self.histogram.record(record.user_latency_us());
@@ -87,40 +77,6 @@ impl TreadmillInstance {
         for record in records {
             self.observe(record);
         }
-    }
-
-    /// The phase the instance is currently in.
-    pub fn phase(&self) -> Phase {
-        current_phase(
-            self.last_observed,
-            SimTime::ZERO + self.config.phases.warmup,
-            &self.histogram,
-        )
-    }
-
-    /// Measurement samples aggregated so far (excluding warm-up).
-    pub fn samples(&self) -> u64 {
-        self.histogram.count()
-    }
-
-    /// Warm-up samples discarded.
-    pub fn discarded(&self) -> u64 {
-        self.discarded
-    }
-
-    /// Measurement-phase responses skipped by the sampling stride.
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// The configured warm-up window.
-    pub fn warmup(&self) -> SimDuration {
-        self.config.phases.warmup
-    }
-
-    /// The underlying histogram (e.g. for CDF plots).
-    pub fn histogram(&self) -> &AdaptiveHistogram {
-        &self.histogram
     }
 
     /// This instance's latency summary — the per-client metrics that
@@ -137,6 +93,7 @@ impl TreadmillInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use treadmill_sim_core::SimDuration;
     use treadmill_cluster::{Request, RequestId};
     use treadmill_workloads::{OpClass, RequestProfile};
 
@@ -180,20 +137,7 @@ mod tests {
         let mut inst = TreadmillInstance::new(config(1, 10));
         inst.observe(&record(500, 100)); // 0.5ms < 1ms warm-up
         inst.observe(&record(1_500, 100));
-        assert_eq!(inst.discarded(), 1);
-        assert_eq!(inst.samples(), 1);
-    }
-
-    #[test]
-    fn phases_reported() {
-        let mut inst = TreadmillInstance::new(config(1, 5));
-        assert_eq!(inst.phase(), Phase::Warmup);
-        inst.observe(&record(1_200, 50));
-        assert_eq!(inst.phase(), Phase::Calibration);
-        for i in 0..5 {
-            inst.observe(&record(1_300 + i, 50 + i));
-        }
-        assert_eq!(inst.phase(), Phase::Measurement);
+        assert_eq!(inst.histogram.count(), 1);
     }
 
     #[test]
@@ -226,9 +170,8 @@ mod tests {
             full.observe(&rec);
             thinned.observe(&rec);
         }
-        assert_eq!(full.samples(), 20_000);
-        assert_eq!(thinned.samples(), 2_000);
-        assert_eq!(thinned.skipped(), 18_000);
+        assert_eq!(full.histogram.count(), 20_000);
+        assert_eq!(thinned.histogram.count(), 2_000);
         // The thinned estimate stays close to the full one.
         let a = full.summary().p99;
         let b = thinned.summary().p99;

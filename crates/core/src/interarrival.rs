@@ -63,27 +63,6 @@ impl InterArrival {
         SimDuration::from_nanos_f64(gap_ns.max(1.0))
     }
 
-    /// Scales the process to a fraction of its rate — used to split a
-    /// target throughput across multiple Treadmill instances (§III-B:
-    /// "each instance sends a fraction of the desired throughput").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `fraction` is not in `(0, 1]`.
-    pub fn fraction(&self, fraction: f64) -> InterArrival {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction {fraction} outside (0, 1]"
-        );
-        let scaled = self.rate_rps() * fraction;
-        match self {
-            InterArrival::Exponential { .. } => InterArrival::Exponential { rate_rps: scaled },
-            InterArrival::Deterministic { .. } => {
-                InterArrival::Deterministic { rate_rps: scaled }
-            }
-            InterArrival::Uniform { .. } => InterArrival::Uniform { rate_rps: scaled },
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,25 +104,12 @@ mod tests {
     }
 
     #[test]
-    fn fraction_scales_rate() {
-        let full = InterArrival::Exponential { rate_rps: 800_000.0 };
-        let eighth = full.fraction(1.0 / 8.0);
-        assert!((eighth.rate_rps() - 100_000.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn gap_never_zero() {
         let mut rng = SmallRng::seed_from_u64(2);
         let process = InterArrival::Exponential { rate_rps: 1e9 };
         for _ in 0..10_000 {
             assert!(process.sample_gap(&mut rng).as_nanos() >= 1);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn bad_fraction_rejected() {
-        InterArrival::Exponential { rate_rps: 1.0 }.fraction(0.0);
     }
 
     #[test]

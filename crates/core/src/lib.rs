@@ -68,14 +68,12 @@ pub use convergence::ConvergenceTracker;
 pub use experiment::{run_until_converged, ExperimentOptions, ExperimentOutcome};
 pub use instance::{InstanceConfig, TreadmillInstance};
 pub use interarrival::InterArrival;
-pub use phases::{Phase, PhaseConfig};
+pub use phases::PhaseConfig;
 pub use report::{health_warnings, render_report};
 pub use resumable::{ResumableRun, TailMonitor};
-pub use runner::{
-    LoadTest, LoadTestReport, RerunPolicy, RobustRunOutcome, RunDegradation,
-};
+pub use runner::{LoadTest, LoadTestReport};
 pub use sweep::{
-    run_factorial_sweep, run_factorial_sweep_controlled, run_screened_sweep, run_sweep,
+    run_factorial_sweep, run_factorial_sweep_controlled, run_screened_sweep,
     run_sweep_controlled, CellSummary, FactorialCellResult, FactorialOutcome,
     ScreenedCell, ScreenedSweepPlan, SweepControl, SweepError, SweepEvent, SweepOptions,
     SweepOutcome, FACTORIAL_CELLS,

@@ -67,11 +67,6 @@ impl TailMonitor {
         self.stats.count()
     }
 
-    /// Running mean latency (µs).
-    pub fn mean_us(&self) -> f64 {
-        self.stats.mean()
-    }
-
     /// The P² running p99 estimate (µs). NaN until the first sample
     /// lands — an early checkpoint (mid-warmup, say) has no tail yet,
     /// and a monitoring read must not abort the sweep.
@@ -450,8 +445,8 @@ mod tests {
 
         assert_eq!(straight.tail().count(), resumed.tail().count());
         assert_eq!(
-            straight.tail().mean_us().to_bits(),
-            resumed.tail().mean_us().to_bits()
+            straight.tail().stats.mean().to_bits(),
+            resumed.tail().stats.mean().to_bits()
         );
         assert_eq!(
             straight.tail().p99_us().to_bits(),

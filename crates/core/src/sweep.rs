@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -132,7 +132,7 @@ impl fmt::Debug for SweepControl<'_> {
     }
 }
 
-/// Knobs for [`run_sweep`].
+/// Knobs for [`run_sweep_controlled`].
 #[derive(Debug, Clone, Copy)]
 pub struct SweepOptions {
     /// Cells (repeated runs) to execute.
@@ -188,7 +188,7 @@ pub struct CellSummary {
     pub p999_us: f64,
 }
 
-/// What [`run_sweep`] did, for operator-facing summaries.
+/// What [`run_sweep_controlled`] did, for operator-facing summaries.
 #[derive(Debug, Clone, Default)]
 pub struct SweepOutcome {
     /// Cells executed (fresh or resumed) this invocation.
@@ -319,7 +319,7 @@ fn read_manifest(path: &Path, config_hash: &str) -> io::Result<(Manifest, Vec<St
     let Ok(contents) = fs::read_to_string(path) else {
         return Ok((manifest, warnings));
     };
-    seal_torn_tail(path, &contents)?;
+    seal_torn_tail(path)?;
     for line in contents.lines() {
         if line.trim().is_empty() {
             continue;
@@ -355,27 +355,65 @@ fn read_manifest(path: &Path, config_hash: &str) -> io::Result<(Manifest, Vec<St
 }
 
 /// Seals an append-only journal whose final line a crash tore
-/// mid-write (`contents` is the journal as just read): one fsynced
-/// newline, so the next append starts a line of its own instead of
-/// being glued to the debris and lost on the next replay.
-pub fn seal_torn_tail(path: &Path, contents: &str) -> io::Result<()> {
-    if contents.is_empty() || contents.ends_with('\n') {
+/// mid-write: one fsynced newline, so the next append starts a line of
+/// its own instead of being glued to the debris and lost on the next
+/// replay. Reads only the last byte; a missing or empty journal has
+/// nothing to seal.
+pub fn seal_torn_tail(path: &Path) -> io::Result<()> {
+    let mut file = match OpenOptions::new().read(true).append(true).open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    if file.metadata()?.len() == 0 {
         return Ok(());
     }
-    let mut file = OpenOptions::new().append(true).open(path)?;
+    let mut last = [0u8; 1];
+    file.seek(SeekFrom::End(-1))?;
+    file.read_exact(&mut last)?;
+    if last[0] == b'\n' {
+        return Ok(());
+    }
     file.write_all(b"\n")?;
     file.sync_all()
 }
 
-/// Appends one journal line and fsyncs, so the transition survives a
-/// crash that happens right after it.
-fn append_journal(path: &Path, line: &ManifestLine) -> io::Result<()> {
-    let mut file = OpenOptions::new().create(true).append(true).open(path)?;
-    let mut serialized =
-        serde_json::to_string(line).map_err(io::Error::other)?;
-    serialized.push('\n');
-    file.write_all(serialized.as_bytes())?;
-    file.sync_all()
+/// Appends `line` and its newline to an append-only journal and
+/// fsyncs, so the transition survives a crash right after it. The
+/// append that creates the journal also fsyncs its directory, so the
+/// new file's entry survives too. The one append path of every JSONL
+/// journal: the sweep manifest, the service's `jobs.jsonl` and
+/// `audit.jsonl`.
+pub fn append_line(path: &Path, line: &str) -> io::Result<()> {
+    let (mut file, created) = match OpenOptions::new().append(true).open(path) {
+        Ok(file) => (file, false),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            (OpenOptions::new().create(true).append(true).open(path)?, true)
+        }
+        Err(e) => return Err(e),
+    };
+    let mut record = String::with_capacity(line.len() + 1);
+    record.push_str(line);
+    record.push('\n');
+    file.write_all(record.as_bytes())?;
+    file.sync_all()?;
+    if created {
+        sync_parent_dir(path);
+    }
+    Ok(())
+}
+
+/// Fsyncs `path`'s directory so a new or renamed entry in it survives
+/// a crash. Best effort: not every platform can open a directory.
+fn sync_parent_dir(path: &Path) {
+    if let Some(dir_handle) = path.parent().and_then(|dir| File::open(dir).ok()) {
+        let _ = dir_handle.sync_all();
+    }
+}
+
+/// A manifest line as one JSON journal record.
+fn manifest_json(line: &ManifestLine) -> io::Result<String> {
+    serde_json::to_string(line).map_err(io::Error::other)
 }
 
 /// Writes `contents` to `path` atomically: a `*.tmp` sibling in the
@@ -401,13 +439,9 @@ fn write_atomic_with(
         file.sync_all()?;
     }
     fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        // Persist the rename itself; without this a crash can forget
-        // the directory entry even though the data blocks are safe.
-        if let Ok(dir_handle) = File::open(dir) {
-            let _ = dir_handle.sync_all();
-        }
-    }
+    // Persist the rename itself; without this a crash can forget the
+    // directory entry even though the data blocks are safe.
+    sync_parent_dir(path);
     Ok(())
 }
 
@@ -548,30 +582,18 @@ fn aggregate_attribution(
     out
 }
 
-/// Executes (or resumes) a sweep of `opts.runs` cells into `out_dir`.
-/// [`run_sweep_controlled`] with no cancellation or progress hooks.
+/// Executes (or resumes) a sweep of `opts.runs` cells into `out_dir`,
+/// with cooperative cancellation and progress reporting — the entry
+/// point `treadmill-serve` and the signal-handling CLI use.
 ///
 /// # Errors
 ///
 /// Returns [`SweepError::Config`] if the configuration does not build
 /// and [`SweepError::Io`] on filesystem trouble. A corrupt or missing
 /// checkpoint is *not* an error: the affected cell restarts from event
-/// zero (with a warning) and the sweep continues.
-pub fn run_sweep(
-    config: &LoadTestConfig,
-    out_dir: &Path,
-    opts: &SweepOptions,
-) -> Result<SweepOutcome, SweepError> {
-    run_sweep_controlled(config, out_dir, opts, &mut SweepControl::default())
-}
-
-/// [`run_sweep`] with cooperative cancellation and progress reporting —
-/// the entry point `treadmill-serve` and the signal-handling CLI use.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`]. Cancellation is *not* an error: the outcome
-/// comes back `Ok` with [`SweepOutcome::interrupted`] set.
+/// zero (with a warning) and the sweep continues. Cancellation is not
+/// an error either: the outcome comes back `Ok` with
+/// [`SweepOutcome::interrupted`] set.
 pub fn run_sweep_controlled(
     config: &LoadTestConfig,
     out_dir: &Path,
@@ -707,7 +729,7 @@ impl SweepDir {
             .journal_lock
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        append_journal(&self.dir.join("manifest.jsonl"), &line)
+        append_line(&self.dir.join("manifest.jsonl"), &manifest_json(&line)?)
     }
 
     /// The in-flight cell's run restored from its checkpoint, if the
@@ -1142,7 +1164,7 @@ fn screen_tsv(master_seed: u64, base_hash: &str, plan: &ScreenedSweepPlan) -> St
 ///
 /// # Errors
 ///
-/// Same as [`run_sweep`].
+/// Same as [`run_sweep_controlled`].
 pub fn run_factorial_sweep(
     config: &LoadTestConfig,
     out_dir: &Path,
@@ -1159,7 +1181,7 @@ pub fn run_factorial_sweep(
 /// # Errors
 ///
 /// [`SweepError::Screen`] for a malformed plan, otherwise the same as
-/// [`run_sweep`].
+/// [`run_sweep_controlled`].
 pub fn run_screened_sweep(
     config: &LoadTestConfig,
     out_dir: &Path,
@@ -1277,6 +1299,14 @@ fn factorial_sweep_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_sweep(
+        config: &LoadTestConfig,
+        out_dir: &Path,
+        opts: &SweepOptions,
+    ) -> Result<SweepOutcome, SweepError> {
+        run_sweep_controlled(config, out_dir, opts, &mut SweepControl::default())
+    }
 
     fn small_config() -> LoadTestConfig {
         LoadTestConfig::from_json(
@@ -1566,15 +1596,16 @@ mod tests {
         let test = config.build().expect("build");
         let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
         for (cell, events) in [(0, 30_000), (2, 45_000)] {
-            append_journal(
+            append_line(
                 &dir.join("manifest.jsonl"),
-                &ManifestLine {
+                &manifest_json(&ManifestLine {
                     cell,
                     status: "running".to_string(),
                     seed: test.derive_run_seed(cell),
                     config_hash: hash.clone(),
                     result: None,
-                },
+                })
+                .expect("manifest line"),
             )
             .expect("journal");
             let mut run = ResumableRun::new(test.clone(), cell);
@@ -1659,15 +1690,16 @@ mod tests {
         let config = small_config();
         let test = config.build().expect("build");
         let hash = format!("{:016x}", fnv1a64(config.to_json().as_bytes()));
-        append_journal(
+        append_line(
             &dir.join("manifest.jsonl"),
-            &ManifestLine {
+            &manifest_json(&ManifestLine {
                 cell: 0,
                 status: "running".to_string(),
                 seed: test.derive_run_seed(0),
                 config_hash: hash,
                 result: None,
-            },
+            })
+            .expect("manifest line"),
         )
         .expect("journal");
         fs::write(ckpt_path(&dir, 0), b"not a checkpoint").expect("corrupt ckpt");

@@ -28,11 +28,6 @@ pub struct AttributionResult {
 }
 
 impl AttributionResult {
-    /// The saturated design used.
-    pub fn design(&self) -> &FactorialDesign {
-        &self.design
-    }
-
     /// Predicts the τ-quantile latency (µs) for a configuration — the
     /// "add up all the qualified estimated coefficients and the
     /// intercept" recipe of §V-B.

@@ -81,22 +81,6 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Samples and configuration levels flattened for goodness-of-fit:
-    /// `(levels, latency)` pairs. Levels are borrowed from the cells —
-    /// a full factorial dataset holds millions of samples, and cloning
-    /// a 4-element `Vec` per sample used to dominate flattening time.
-    pub fn flattened(&self) -> Vec<(&[f64], f64)> {
-        let mut out = Vec::with_capacity(self.total_samples());
-        for cell in &self.cells {
-            for run in cell.runs() {
-                for &v in run {
-                    out.push((cell.levels.as_slice(), v));
-                }
-            }
-        }
-        out
-    }
-
     /// Total samples across cells and runs.
     pub fn total_samples(&self) -> usize {
         self.cells.iter().map(Cell::total_samples).sum()
@@ -305,11 +289,4 @@ mod tests {
         assert!(!missing.contains(&3));
     }
 
-    #[test]
-    fn flattened_pairs_levels_with_samples() {
-        let dataset = collect(&tiny_plan(3));
-        let flat = dataset.flattened();
-        assert_eq!(flat.len(), dataset.total_samples());
-        assert!(flat.iter().all(|(levels, v)| levels.len() == 4 && *v > 0.0));
-    }
 }

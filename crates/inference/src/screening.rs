@@ -243,11 +243,6 @@ pub struct ScreenPlan {
 }
 
 impl ScreenPlan {
-    /// Convenience: the flagged cells' predictions, in index order.
-    pub fn flagged_cells(&self) -> impl Iterator<Item = &CellPrediction> {
-        self.cells.iter().filter(|c| c.flagged)
-    }
-
     /// Converts a hardware-space plan into the contract `core::sweep`'s
     /// screened orchestration consumes ([`run_screened_sweep`] /
     /// `run_factorial_sweep_controlled`).

@@ -1,4 +1,4 @@
-//! Per-crate module graph and whole-workspace call graph.
+//! Whole-workspace call graph.
 //!
 //! Built from the item models in [`crate::parse`]. Nodes are function
 //! definitions; edges are call sites resolved *conservatively*: a call
@@ -17,6 +17,11 @@
 //!    transitively closed), arity-matched candidates preferred with a
 //!    name-only fallback.
 //!
+//! A method call on a receiver other than `self` also gets a
+//! *shadowed* edge to every same-named method a nearer tier passed
+//! over; only the product traversal (DEAD001) follows those. A fn
+//! named as a value (`.map_err(map_io)`) resolves like a bare call.
+//!
 //! Calls that resolve to nothing (std / vendored-dependency functions)
 //! simply contribute no edges.
 
@@ -33,6 +38,11 @@ pub struct Edge {
     pub line: usize,
     /// The call sits inside a `catch_unwind` argument.
     pub caught: bool,
+    /// A method the resolution tiers passed over: it has the callee's
+    /// name and the caller's crate can see it, but a nearer tier won.
+    /// The receiver's type is unknown, so it may be the real callee;
+    /// only the product traversal (DEAD001) follows these edges.
+    pub shadowed: bool,
 }
 
 /// The workspace graph: parsed files plus the resolved call graph.
@@ -89,11 +99,15 @@ impl Graph {
                 if call.is_macro {
                     continue;
                 }
-                for to in g.resolve(caller, call) {
+                let resolved = g.resolve(caller, call);
+                let shadowed = g.shadowed(caller, call, &resolved);
+                let tagged = resolved.into_iter().map(|to| (to, false));
+                for (to, shadowed) in tagged.chain(shadowed.into_iter().map(|to| (to, true))) {
                     g.out_edges[caller].push(Edge {
                         to,
                         line: call.line,
                         caught: call.caught,
+                        shadowed,
                     });
                     g.in_edges[to].push((caller, call.line));
                 }
@@ -129,41 +143,13 @@ impl Graph {
     pub fn fn_at(&self, file: &str, line: usize) -> Option<usize> {
         let fi = *self.file_index.get(file)?;
         let li = self.files[fi].fn_at(line)?;
-        self.fn_locs.iter().position(|&loc| loc == (fi, li))
+        self.fn_id(fi, li)
     }
 
-    /// `mod child;` declarations of `file` resolved to workspace file
-    /// paths (the per-crate module graph).
-    pub fn module_children(&self, file: &str) -> Vec<String> {
-        let Some(&fi) = self.file_index.get(file) else {
-            return Vec::new();
-        };
-        let path = &self.files[fi].path;
-        let dir = match path.rsplit_once('/') {
-            Some((d, leaf)) => {
-                if leaf == "lib.rs" || leaf == "main.rs" || leaf == "mod.rs" {
-                    d.to_string()
-                } else {
-                    // `foo.rs` owns `foo/bar.rs`.
-                    format!("{d}/{}", leaf.trim_end_matches(".rs"))
-                }
-            }
-            None => String::new(),
-        };
-        let mut out = Vec::new();
-        for child in &self.files[fi].mod_decls {
-            for cand in [
-                format!("{dir}/{child}.rs"),
-                format!("{dir}/{child}/mod.rs"),
-            ] {
-                let cand = cand.trim_start_matches('/').to_string();
-                if self.file_index.contains_key(&cand) {
-                    out.push(cand);
-                    break;
-                }
-            }
-        }
-        out
+    /// The id of fn `li` of file `fi` (ids are assigned in file order,
+    /// so `fn_locs` is sorted).
+    pub fn fn_id(&self, fi: usize, li: usize) -> Option<usize> {
+        self.fn_locs.binary_search(&(fi, li)).ok()
     }
 
     fn can_call(&self, from_crate: &str, to_crate: &str) -> bool {
@@ -184,6 +170,8 @@ impl Graph {
         let caller_crate = &self.fn_crates[caller];
         let caller_file = self.fn_locs[caller].0;
         let caller_self_ty = self.fn_def(caller).self_ty.clone();
+        // A fn named as a value has no argument list to match.
+        let arity = (!call.by_value).then_some(call.arity);
 
         if call.method {
             let methods: Vec<usize> = all
@@ -203,12 +191,12 @@ impl Graph {
                         })
                         .collect();
                     if !same_ty.is_empty() {
-                        return prefer_arity(self, same_ty, call.arity);
+                        return prefer_arity(self, same_ty, arity);
                     }
                 }
             }
             // Tier 2/3: same crate, then dependency crates.
-            return self.tiered(methods, caller_crate, caller_file, None, call.arity);
+            return self.tiered(methods, caller_crate, caller_file, None, arity);
         }
 
         // Qualified / bare path call: substitute the leading segment
@@ -260,7 +248,27 @@ impl Graph {
                 .filter(|&id| self.fn_def(id).self_ty.is_none() && !self.fn_def(id).has_self)
                 .collect(),
         };
-        self.tiered(cands, caller_crate, caller_file, crate_hint, call.arity)
+        self.tiered(cands, caller_crate, caller_file, crate_hint, arity)
+    }
+
+    /// For a method call on a receiver other than `self`, the
+    /// same-named methods visible to the caller that [`Graph::resolve`]
+    /// did not pick.
+    fn shadowed(&self, caller: usize, call: &CallSite, resolved: &[usize]) -> Vec<usize> {
+        if !call.method || call.recv_self {
+            return Vec::new();
+        }
+        let caller_crate = &self.fn_crates[caller];
+        self.by_name.get(&call.name).map_or_else(Vec::new, |ids| {
+            ids.iter()
+                .copied()
+                .filter(|&id| {
+                    self.fn_def(id).has_self
+                        && !resolved.contains(&id)
+                        && self.can_call(caller_crate, &self.fn_crates[id])
+                })
+                .collect()
+        })
     }
 
     /// Applies the same-file → same-crate → dependency tiers (or a
@@ -271,7 +279,7 @@ impl Graph {
         caller_crate: &str,
         caller_file: usize,
         crate_hint: Option<String>,
-        arity: usize,
+        arity: Option<usize>,
     ) -> Vec<usize> {
         if let Some(hint) = crate_hint {
             let in_crate: Vec<usize> = cands
@@ -309,12 +317,13 @@ impl Graph {
 }
 
 /// Keeps only arity-matching candidates when any exist (name-only
-/// fallback otherwise — the parser's arity count is a heuristic).
-fn prefer_arity(g: &Graph, cands: Vec<usize>, arity: usize) -> Vec<usize> {
+/// fallback otherwise — the parser's arity count is a heuristic, and
+/// absent for a fn named as a value).
+fn prefer_arity(g: &Graph, cands: Vec<usize>, arity: Option<usize>) -> Vec<usize> {
     let exact: Vec<usize> = cands
         .iter()
         .copied()
-        .filter(|&id| g.fn_def(id).arity == arity)
+        .filter(|&id| Some(g.fn_def(id).arity) == arity)
         .collect();
     if exact.is_empty() {
         cands
@@ -353,12 +362,13 @@ fn transitive_closure(direct: &BTreeMap<String, Vec<String>>) -> BTreeMap<String
 }
 
 /// Parses the direct workspace dependencies of every crate manifest
-/// under `root` (`crates/*/Cargo.toml` plus the root package), keyed
-/// by package name. Only `treadmill-*` dependencies are recorded — the
-/// call graph never resolves into vendored third-party code.
+/// under `root` (`crates/*/Cargo.toml`, the root package and
+/// `perfbench/`), keyed by package name. Only `treadmill-*`
+/// dependencies are recorded — the call graph never resolves into
+/// vendored third-party code.
 pub fn workspace_deps(root: &std::path::Path) -> BTreeMap<String, Vec<String>> {
     let mut out = BTreeMap::new();
-    let mut manifests = vec![root.join("Cargo.toml")];
+    let mut manifests = vec![root.join("Cargo.toml"), root.join("perfbench/Cargo.toml")];
     if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         let mut dirs: Vec<_> = entries.flatten().map(|e| e.path()).collect();
         dirs.sort();
@@ -597,19 +607,6 @@ fn handler() { write_atomic(1, 2); }
             ],
         );
         assert_eq!(callees(&g, "top"), vec!["bottom"]);
-    }
-
-    #[test]
-    fn module_children_resolve_sibling_and_subdir() {
-        let g = build(&[
-            ("crates/core/src/lib.rs", "mod sweep;\nmod deep;\n"),
-            ("crates/core/src/sweep.rs", ""),
-            ("crates/core/src/deep/mod.rs", ""),
-        ]);
-        assert_eq!(
-            g.module_children("crates/core/src/lib.rs"),
-            vec!["crates/core/src/sweep.rs", "crates/core/src/deep/mod.rs"]
-        );
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //! scan: [`parse`] recovers items, calls, locks, and I/O events from
 //! the token stream; [`graph`] links them into a conservative
 //! workspace call graph; [`reach`] runs reachability from the
-//! deterministic entry points and the service boundary. Determinism
-//! rules (`DET001/2/3`) outside the deterministic crates fire only
-//! when the site is *provably reachable* from a deterministic entry
-//! point — per-path proofs replace the old whole-crate allowlists —
-//! and four semantic rules (`DET008`, `DUR001`, `PANIC002`, `NUM002`)
-//! check lock discipline, durability ordering, panic containment, and
-//! tainted-integer arithmetic over the same graph.
+//! deterministic entry points, the service boundary and the product
+//! roots. Determinism rules (`DET001/2/3`) outside the deterministic
+//! crates fire only when the site is *provably reachable* from a
+//! deterministic entry point — per-path proofs replace the old
+//! whole-crate allowlists — and five semantic rules (`DET008`,
+//! `DUR001`, `PANIC002`, `NUM002`, `DEAD001`) check lock discipline,
+//! durability ordering, panic containment, tainted-integer arithmetic
+//! and dead library code over the same graph.
 //!
 //! See `DESIGN.md` § "Static analysis & determinism guarantees" for the
 //! rule table, suppression syntax, and the baseline ratchet policy.
@@ -80,7 +81,12 @@ impl Analysis {
 }
 
 /// Maps a workspace-relative path to its crate's package name.
+/// `perfbench/` is a package of its own (with its own manifest), not
+/// part of the root crate.
 pub fn crate_name(path: &str) -> String {
+    if path.starts_with("perfbench/") {
+        return "treadmill-perfbench".to_string();
+    }
     match path
         .strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())
@@ -366,6 +372,7 @@ mod tests {
         assert_eq!(crate_name("crates/sim-core/src/rng.rs"), "treadmill-sim-core");
         assert_eq!(crate_name("src/lib.rs"), "treadmill");
         assert_eq!(crate_name("tests/golden_seed.rs"), "treadmill");
+        assert_eq!(crate_name("perfbench/bin/served.rs"), "treadmill-perfbench");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Reachability analysis over the workspace call graph, and the
 //! semantic rules built on it.
 //!
-//! Two root sets are traced:
+//! Three root sets are traced, each by the same breadth-first search
+//! (`bfs`):
 //!
 //! * **Deterministic roots** — every non-test function in the
 //!   deterministic crates (`sim-core`, `cluster`, `core`, `inference`,
@@ -15,14 +16,21 @@
 //!   PANIC002 fires on any panic site reachable from here through
 //!   edges *not* contained by `catch_unwind`: a reachable panic is a
 //!   crashed sweep, and the budget is zero.
+//! * **Product roots** — every fn in a file that is not library code
+//!   (bins and their `main`, integration tests, examples, benches,
+//!   `perfbench/`), every trait method (std and `dyn` dispatch call
+//!   them where the graph sees no call site), and every fn a
+//!   `#[serde(…)]` attribute names. In-module `#[cfg(test)]` tests are
+//!   not roots. DEAD001 fires on each library fn this set misses: code
+//!   kept alive only by its own unit tests is still dead.
 //!
-//! BFS parent links are kept for both traversals so `--explain` can
+//! BFS parent links are kept for every traversal so `--explain` can
 //! print the concrete call chain (or certify unreachability) for any
 //! `RULE:file:line`.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use crate::graph::Graph;
+use crate::graph::{Edge, Graph};
 use crate::parse::IoKind;
 use crate::rules;
 
@@ -31,7 +39,12 @@ use crate::rules;
 enum Reach {
     No,
     Root,
-    Via { from: usize, line: usize },
+    /// `shadowed`: reached over a shadowed edge (see [`Edge`]).
+    Via {
+        from: usize,
+        line: usize,
+        shadowed: bool,
+    },
 }
 
 /// A semantic finding before suppression handling: rule id + site.
@@ -55,7 +68,6 @@ const ENTRY_TYPES: &[&str] = &["ClusterWorld", "ShardedCluster"];
 /// Free functions that are deterministic entry points (sweep drivers
 /// and the analytic screening predictors).
 const ENTRY_FNS: &[&str] = &[
-    "run_sweep",
     "run_sweep_controlled",
     "run_factorial_sweep",
     "run_factorial_sweep_controlled",
@@ -85,111 +97,122 @@ const PANIC_MACROS: &[&str] = &[
     "assert_ne",
 ];
 
+/// Library code: not a bin, test, example, bench or `perfbench/` file.
+fn is_library_path(path: &str) -> bool {
+    !rules::is_test_like_path(path) && !rules::is_bin_path(path) && !path.starts_with("perfbench/")
+}
+
 /// The computed reachability model; owns the graph.
 #[derive(Debug)]
 pub struct Semantics {
     pub graph: Graph,
     det_parent: Vec<Reach>,
     svc_parent: Vec<Reach>,
+    live_parent: Vec<Reach>,
     pub det_root_count: usize,
     pub entry_count: usize,
     pub svc_root_count: usize,
+    pub live_root_count: usize,
     pub edge_count: usize,
 }
 
-impl Semantics {
-    /// Runs both traversals over a built graph.
-    pub fn compute(graph: Graph) -> Semantics {
-        let n = graph.fn_count();
-        let edge_count = graph.out_edges.iter().map(Vec::len).sum();
-        let mut sem = Semantics {
-            graph,
-            det_parent: vec![Reach::No; n],
-            svc_parent: vec![Reach::No; n],
-            det_root_count: 0,
-            entry_count: 0,
-            svc_root_count: 0,
-            edge_count,
-        };
-        sem.trace_deterministic();
-        sem.trace_service();
-        sem
+fn is_named_entry(g: &Graph, id: usize) -> bool {
+    let f = g.fn_def(id);
+    match f.self_ty.as_deref() {
+        Some(ty) => {
+            ENTRY_TYPES.contains(&ty) || ENTRY_METHODS.iter().any(|(t, m)| *t == ty && *m == f.name)
+        }
+        None => ENTRY_FNS.contains(&f.name.as_str()),
     }
+}
 
-    fn is_named_entry(&self, id: usize) -> bool {
-        let f = self.graph.fn_def(id);
-        match f.self_ty.as_deref() {
-            Some(ty) => {
-                ENTRY_TYPES.contains(&ty)
-                    || ENTRY_METHODS.iter().any(|(t, m)| *t == ty && *m == f.name)
-            }
-            None => ENTRY_FNS.contains(&f.name.as_str()),
+/// Is `id` eligible as a deterministic / service root? Test fns and
+/// test-path files are never roots: determinism and crash-safety are
+/// contracts on shipped code, and tests only *drive* it.
+fn det_root(g: &Graph, id: usize) -> bool {
+    let file = g.fn_file(id);
+    rules::is_deterministic_crate(file) && !rules::is_test_like_path(file) && !g.fn_def(id).is_test
+}
+
+fn svc_root(g: &Graph, id: usize) -> bool {
+    let file = g.fn_file(id);
+    file.starts_with("crates/server/") && !rules::is_test_like_path(file) && !g.fn_def(id).is_test
+}
+
+/// Is `id` a product root (see the module docs)?
+fn live_root(g: &Graph, id: usize) -> bool {
+    let f = g.fn_def(id);
+    let (fi, _) = g.fn_locs[id];
+    !is_library_path(&g.files[fi].path)
+        || (!f.is_test && (f.trait_ty.is_some() || g.files[fi].serde_fns.contains(&f.name)))
+}
+
+/// Breadth-first search from `roots`, in order, over the edges
+/// `follow` admits. Returns the parent map and the number of distinct
+/// roots.
+fn bfs(
+    g: &Graph,
+    roots: impl IntoIterator<Item = usize>,
+    follow: impl Fn(&Edge) -> bool,
+) -> (Vec<Reach>, usize) {
+    let mut parent = vec![Reach::No; g.fn_count()];
+    let mut queue = VecDeque::new();
+    for id in roots {
+        if parent[id] == Reach::No {
+            parent[id] = Reach::Root;
+            queue.push_back(id);
         }
     }
-
-    /// Is `id` eligible as a root of the given set? Test fns and
-    /// test-path files are never roots: determinism and crash-safety
-    /// are contracts on shipped code, and tests only *drive* it.
-    fn det_root(&self, id: usize) -> bool {
-        let file = self.graph.fn_file(id);
-        rules::is_deterministic_crate(file)
-            && !rules::is_test_like_path(file)
-            && !self.graph.fn_def(id).is_test
+    let root_count = queue.len();
+    while let Some(id) = queue.pop_front() {
+        for e in &g.out_edges[id] {
+            if follow(e) && parent[e.to] == Reach::No {
+                parent[e.to] = Reach::Via {
+                    from: id,
+                    line: e.line,
+                    shadowed: e.shadowed,
+                };
+                queue.push_back(e.to);
+            }
+        }
     }
+    (parent, root_count)
+}
 
-    fn svc_root(&self, id: usize) -> bool {
-        let file = self.graph.fn_file(id);
-        file.starts_with("crates/server/")
-            && !rules::is_test_like_path(file)
-            && !self.graph.fn_def(id).is_test
-    }
-
-    fn trace_deterministic(&mut self) {
+impl Semantics {
+    /// Runs the three traversals over a built graph.
+    pub fn compute(graph: Graph) -> Semantics {
+        let ids = 0..graph.fn_count();
+        let edge_count = graph.out_edges.iter().map(Vec::len).sum();
         // Seed named entries first so explain chains ground at a
         // recognizable boundary, then every other eligible fn (a
         // not-yet-called pub fn in a deterministic crate is still
         // covered code).
-        let mut roots: Vec<usize> = (0..self.graph.fn_count())
-            .filter(|&id| self.det_root(id) && self.is_named_entry(id))
+        let entries: Vec<usize> = ids
+            .clone()
+            .filter(|&id| det_root(&graph, id) && is_named_entry(&graph, id))
             .collect();
-        self.entry_count = roots.len();
-        roots.extend((0..self.graph.fn_count()).filter(|&id| self.det_root(id)));
-        let mut queue = VecDeque::new();
-        for id in roots {
-            if self.det_parent[id] == Reach::No {
-                self.det_parent[id] = Reach::Root;
-                self.det_root_count += 1;
-                queue.push_back(id);
-            }
-        }
-        while let Some(id) = queue.pop_front() {
-            for e in &self.graph.out_edges[id] {
-                if self.det_parent[e.to] == Reach::No {
-                    self.det_parent[e.to] = Reach::Via { from: id, line: e.line };
-                    queue.push_back(e.to);
-                }
-            }
-        }
-    }
-
-    fn trace_service(&mut self) {
-        let mut queue = VecDeque::new();
-        for id in 0..self.graph.fn_count() {
-            if self.svc_root(id) {
-                self.svc_parent[id] = Reach::Root;
-                self.svc_root_count += 1;
-                queue.push_back(id);
-            }
-        }
-        while let Some(id) = queue.pop_front() {
-            for e in &self.graph.out_edges[id] {
-                // An edge inside catch_unwind contains the panic; it
-                // does not propagate crash-reachability.
-                if !e.caught && self.svc_parent[e.to] == Reach::No {
-                    self.svc_parent[e.to] = Reach::Via { from: id, line: e.line };
-                    queue.push_back(e.to);
-                }
-            }
+        let entry_count = entries.len();
+        let det_roots = entries
+            .into_iter()
+            .chain(ids.clone().filter(|&id| det_root(&graph, id)));
+        let (det_parent, det_root_count) = bfs(&graph, det_roots, |e| !e.shadowed);
+        // An edge inside catch_unwind contains the panic; it does not
+        // propagate crash-reachability.
+        let svc_roots = ids.clone().filter(|&id| svc_root(&graph, id));
+        let (svc_parent, svc_root_count) = bfs(&graph, svc_roots, |e| !e.caught && !e.shadowed);
+        let live_roots = ids.filter(|&id| live_root(&graph, id));
+        let (live_parent, live_root_count) = bfs(&graph, live_roots, |_| true);
+        Semantics {
+            graph,
+            det_parent,
+            svc_parent,
+            live_parent,
+            det_root_count,
+            entry_count,
+            svc_root_count,
+            live_root_count,
+            edge_count,
         }
     }
 
@@ -203,8 +226,8 @@ impl Semantics {
             .is_some_and(|id| self.det_parent[id] != Reach::No)
     }
 
-    /// Semantic findings (DET008, DUR001, PANIC002, NUM002), grouped by
-    /// file path.
+    /// Semantic findings (DET008, DUR001, PANIC002, NUM002, DEAD001),
+    /// grouped by file path.
     pub fn findings_by_file(&self) -> BTreeMap<String, Vec<SemHit>> {
         let mut out: BTreeMap<String, Vec<SemHit>> = BTreeMap::new();
         for fi in 0..self.graph.files.len() {
@@ -214,6 +237,7 @@ impl Semantics {
             self.dur001_hits(fi, &mut hits);
             self.num002_hits(fi, &mut hits);
             self.panic002_hits(fi, &mut hits);
+            self.dead001_hits(fi, &mut hits);
             if !hits.is_empty() {
                 hits.sort_by_key(|h| (h.line, h.rule_id));
                 out.insert(path, hits);
@@ -309,7 +333,7 @@ impl Semantics {
             if f.is_test || f.arith_sites.is_empty() {
                 continue;
             }
-            let id = match self.fn_id(fi, li) {
+            let id = match self.graph.fn_id(fi, li) {
                 Some(id) => id,
                 None => continue,
             };
@@ -352,7 +376,7 @@ impl Semantics {
             if f.is_test {
                 continue;
             }
-            let id = match self.fn_id(fi, li) {
+            let id = match self.graph.fn_id(fi, li) {
                 Some(id) => id,
                 None => continue,
             };
@@ -380,13 +404,35 @@ impl Semantics {
         }
     }
 
-    fn fn_id(&self, fi: usize, li: usize) -> Option<usize> {
-        self.graph.fn_locs.iter().position(|&loc| loc == (fi, li))
+    /// DEAD001: library fns no product root reaches.
+    fn dead001_hits(&self, fi: usize, hits: &mut Vec<SemHit>) {
+        let file = &self.graph.files[fi];
+        if !is_library_path(&file.path) {
+            return;
+        }
+        for (li, f) in file.fns.iter().enumerate() {
+            if f.is_test
+                || self
+                    .graph
+                    .fn_id(fi, li)
+                    .is_none_or(|id| self.live_parent[id] != Reach::No)
+            {
+                continue;
+            }
+            hits.push(SemHit {
+                rule_id: "DEAD001",
+                line: f.line,
+                detail: Some(format!(
+                    "fn {} (run tml-lint --explain DEAD001:{}:{} for the certificate)",
+                    f.name, file.path, f.line
+                )),
+            });
+        }
     }
 
     /// Root-to-target call chain under a parent map, as display lines.
     fn chain(&self, parents: &[Reach], target: usize) -> Option<Vec<String>> {
-        let mut steps: Vec<(usize, Option<usize>)> = Vec::new();
+        let mut steps: Vec<(usize, Option<(usize, bool)>)> = Vec::new();
         let mut cur = target;
         loop {
             match parents[cur] {
@@ -395,8 +441,12 @@ impl Semantics {
                     steps.push((cur, None));
                     break;
                 }
-                Reach::Via { from, line } => {
-                    steps.push((cur, Some(line)));
+                Reach::Via {
+                    from,
+                    line,
+                    shadowed,
+                } => {
+                    steps.push((cur, Some((line, shadowed))));
                     cur = from;
                 }
             }
@@ -407,11 +457,16 @@ impl Semantics {
         for (id, via_line) in steps {
             match via_line {
                 None => out.push(format!("  {}", self.graph.fn_display(id))),
-                Some(line) => out.push(format!(
-                    "    → {} (called at {}:{})",
+                Some((line, shadowed)) => out.push(format!(
+                    "    → {} (called at {}:{}{})",
                     self.graph.fn_display(id),
                     prev_file.unwrap_or("?"),
-                    line
+                    line,
+                    if shadowed {
+                        "; a same-named method, matched by name only"
+                    } else {
+                        ""
+                    }
                 )),
             }
             prev_file = Some(self.graph.fn_file(id));
@@ -447,6 +502,39 @@ impl Semantics {
                     self.graph.fn_count(),
                     self.edge_count
                 ),
+            },
+            "DEAD001" => match self.chain(&self.live_parent, id) {
+                Some(chain) => format!(
+                    "{header}\n  {fname} is live: reached from a product root:\n{}",
+                    chain.join("\n")
+                ),
+                None => {
+                    let callers: Vec<String> = self.graph.in_edges[id]
+                        .iter()
+                        .map(|&(from, line)| {
+                            let why = if self.graph.fn_def(from).is_test {
+                                "unit test"
+                            } else {
+                                "itself unreachable"
+                            };
+                            format!(
+                                "\n    ← {} (call at line {line}; {why})",
+                                self.graph.fn_display(from)
+                            )
+                        })
+                        .collect();
+                    format!(
+                        "{header}\n  proven unreachable: no call path from any of the {} \
+                         product roots (bins, integration tests, examples, benches, \
+                         perfbench, trait methods, serde-named fns) reaches {fname}.\n  \
+                         callers: {}{}\n  graph: {} fns, {} edges.",
+                        self.live_root_count,
+                        self.graph.in_edges[id].len(),
+                        callers.concat(),
+                        self.graph.fn_count(),
+                        self.edge_count
+                    )
+                }
             },
             "DET001" | "DET002" | "DET003" => {
                 if rules::is_deterministic_crate(file) {
@@ -621,6 +709,31 @@ fn inner() -> Option<u32> { None }
         assert!(explain.contains("executor"), "{explain}");
         let silent = s.explain("PANIC002", "crates/core/src/job.rs", 4);
         assert!(silent.contains("NOT service-reachable"), "{silent}");
+    }
+
+    #[test]
+    fn shadowed_methods_are_live_but_carry_no_panic() {
+        // `e.kind()` in the server resolves to the server's own `kind`
+        // method; core's same-named method is only a shadowed
+        // candidate. It stays live for DEAD001, but PANIC002 does not
+        // follow the shadowed edge into its `expect`.
+        let server = "\
+pub fn handler(e: SpecError) -> u32 { e.kind() }
+impl SpecError { fn kind(&self) -> u32 { 0 } }
+";
+        let core = "impl ConfigError { pub fn kind(&self) -> u32 { x.expect(\"k\") } }\n";
+        let s = sem_with_deps(
+            &[
+                ("crates/server/src/bin/serve.rs", "fn main() { handler(e); }\n"),
+                ("crates/server/src/job.rs", server),
+                ("crates/core/src/config.rs", core),
+            ],
+            &[("treadmill-server", &["treadmill-core"]), ("treadmill-core", &[])],
+        );
+        assert!(rule_lines(&s, "PANIC002", "crates/core/src/config.rs").is_empty());
+        let explain = s.explain("DEAD001", "crates/core/src/config.rs", 1);
+        assert!(explain.contains("is live"), "{explain}");
+        assert!(explain.contains("matched by name only"), "{explain}");
     }
 
     #[test]

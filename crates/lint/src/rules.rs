@@ -110,6 +110,14 @@ pub const RULES: &[Rule] = &[
                boundaries, or use checked_/saturating_ arithmetic on raw \
                nanosecond/sequence integers",
     },
+    Rule {
+        id: "DEAD001",
+        summary: "library fn that no product path reaches: no call chain \
+                  from a bin, integration test, example, bench, trait method \
+                  or serde-named fn (its own unit tests do not count)",
+        hint: "delete it with the unit tests that check only it, or keep it \
+               with // tml-lint: allow(DEAD001, <the test or oracle it serves>)",
+    },
 ];
 
 /// Looks up a rule by id.

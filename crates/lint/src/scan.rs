@@ -21,6 +21,11 @@ pub struct SourceLine {
     /// True when the line is inside a `#[cfg(test)]`-gated item (the
     /// attribute line itself counts), as tracked by brace depth.
     pub in_test: bool,
+    /// Contents of the string and char literals that close on this
+    /// line, in order (escapes dropped): what `code` blanks out. Lets
+    /// the parser read fn names out of attributes such as
+    /// `#[serde(default = "…")]`.
+    pub literals: Vec<String>,
 }
 
 /// A scanned file: lexical layers for every line, 0-indexed.
@@ -59,6 +64,8 @@ pub fn scan(src: &str) -> SourceModel {
     let mut state = State::Code;
     let mut depth: i64 = 0;
     let mut scope = TestScope::None;
+    // Contents of the literal being scanned.
+    let mut lit = String::new();
 
     let mut i = 0usize;
     while i < chars.len() {
@@ -154,9 +161,11 @@ pub fn scan(src: &str) -> SourceModel {
                 }
                 if c == '"' {
                     line.code.push('"');
+                    line.literals.push(std::mem::take(&mut lit));
                     state = State::Code;
                 } else {
                     line.code.push(' ');
+                    lit.push(c);
                 }
                 i += 1;
                 continue;
@@ -164,12 +173,14 @@ pub fn scan(src: &str) -> SourceModel {
             State::RawStr(h) => {
                 if c == '"' && closes_raw(&chars, i, h) {
                     line.code.push('"');
+                    line.literals.push(std::mem::take(&mut lit));
                     // Skip the trailing hashes too.
                     i += 1 + h as usize;
                     state = State::Code;
                     continue;
                 }
                 line.code.push(' ');
+                lit.push(c);
                 i += 1;
                 continue;
             }
@@ -186,9 +197,11 @@ pub fn scan(src: &str) -> SourceModel {
                 }
                 if c == '\'' {
                     line.code.push('\'');
+                    line.literals.push(std::mem::take(&mut lit));
                     state = State::Code;
                 } else {
                     line.code.push(' ');
+                    lit.push(c);
                 }
                 i += 1;
                 continue;
@@ -283,6 +296,7 @@ mod tests {
         assert!(!m.lines[0].code.contains("HashMap"));
         assert!(m.lines[0].code.contains("let x ="));
         assert_eq!(m.lines[0].comment.trim(), "trailing");
+        assert_eq!(m.lines[0].literals, vec!["HashMap inside"]);
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn workspace_has_no_unsuppressed_findings() {
     // The semantic rules ship with zero grandfathered debt: not even a
     // budgeted finding may exist for them. (Failures were asserted
     // empty above, so scanning the budgeted list completes the pin.)
-    for rule in ["DET008", "DUR001", "PANIC002", "NUM002"] {
+    for rule in ["DET008", "DUR001", "PANIC002", "NUM002", "DEAD001"] {
         let hits: Vec<String> = analysis
             .budgeted
             .iter()
@@ -72,4 +72,11 @@ fn workspace_has_no_unsuppressed_findings() {
     assert!(sem.graph.fn_count() > 1000, "graph too small: {}", sem.graph.fn_count());
     assert!(sem.entry_count > 10, "too few named entry points: {}", sem.entry_count);
     assert!(sem.svc_root_count > 10, "too few service roots: {}", sem.svc_root_count);
+    assert!(sem.live_root_count > 100, "too few product roots: {}", sem.live_root_count);
+
+    // perfbench is a package of its own whose calls resolve into the
+    // crates its manifest names — not the root crate's dependencies.
+    let deps = treadmill_lint::graph::workspace_deps(&root);
+    let perfbench = deps.get("treadmill-perfbench").expect("perfbench manifest read");
+    assert!(perfbench.iter().any(|d| d == "treadmill-server"), "{perfbench:?}");
 }

@@ -135,3 +135,55 @@ pub fn unreached() {
     let proof = sem.explain("DET001", "crates/stats/src/maps.rs", 7);
     assert!(proof.contains("proven unreachable"), "{proof}");
 }
+
+#[test]
+fn dead001_library_fns_no_product_root_reaches() {
+    let lib = include_str!("../fixtures/dead001.rs");
+    let path = "crates/core/src/fixture.rs";
+    // One caller per kind of non-library file; every fn in such a file
+    // is a root.
+    let roots: &[(&str, &str)] = &[
+        (
+            "crates/core/src/bin/tool.rs",
+            "fn main() {\n    treadmill_core::called_from_main();\n    \
+             treadmill_core::reached_from_main();\n}\n",
+        ),
+        ("tests/it.rs", "#[test]\nfn t() { treadmill_core::called_from_integration_test(); }\n"),
+        (
+            "crates/core/tests/t.rs",
+            "#[test]\nfn t() { treadmill_core::called_from_crate_test(); }\n",
+        ),
+        ("examples/ex.rs", "fn main() { treadmill_core::called_from_example(); }\n"),
+        ("crates/bench/benches/b.rs", "fn bench() { treadmill_core::called_from_bench(); }\n"),
+        ("perfbench/bin/main.rs", "fn main() { treadmill_core::called_from_perfbench(); }\n"),
+    ];
+    let mut files = vec![(path, lib)];
+    files.extend_from_slice(roots);
+    let a = analyze(
+        &files,
+        &[
+            ("treadmill-core", &[]),
+            ("treadmill", &["treadmill-core"]),
+            ("treadmill-bench", &["treadmill-core"]),
+            ("treadmill-perfbench", &["treadmill-core"]),
+        ],
+    );
+    // Line 4: called by nothing. Line 8: called only by its own unit
+    // test. Line 72: its allow has no reason, so it suppresses nothing.
+    // Trait methods, trait default bodies, serde-named fns and fns
+    // named as values (`map_err(describe)`, `install(on_signal)`) are
+    // live; the reasoned allow at line 69 suppresses.
+    assert_eq!(lines_for(&a, "DEAD001", path), vec![4, 8, 72]);
+    assert_eq!(lines_for(&a, "LINT000", path), vec![71]);
+    assert_eq!(a.suppressed, 1, "only the reasoned allow suppresses");
+
+    // `--explain` prints the unreachability certificate, naming the
+    // unit test as the only caller, and the chain for a live fn.
+    let sem = a.semantics.as_ref().expect("workspace pass ran");
+    let cert = sem.explain("DEAD001", path, 8);
+    assert!(cert.contains("proven unreachable"), "{cert}");
+    assert!(cert.contains("unit test"), "{cert}");
+    let live = sem.explain("DEAD001", path, 62);
+    assert!(live.contains("is live"), "{live}");
+    assert!(live.contains("fn main"), "{live}");
+}

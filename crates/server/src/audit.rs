@@ -5,13 +5,14 @@
 //! configuration hash, against which snapshot format version. The log
 //! is never rewritten or truncated — it is the service's provenance
 //! trail, answering "which bits produced this artifact" long after
-//! the job itself is gone.
+//! the job itself is gone. Like the other journals it goes through
+//! [`append_line`], and a line a crash tore is sealed on open.
 
-use std::fs::OpenOptions;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use treadmill_core::sweep::{append_line, seal_torn_tail};
 use treadmill_sim_core::snapshot::SNAPSHOT_VERSION;
 
 use crate::jsonx::Obj;
@@ -67,9 +68,18 @@ fn unix_ms() -> u64 {
 }
 
 impl AuditLog {
-    /// An audit log at `state_dir/audit.jsonl`.
-    pub fn open(state_dir: &Path) -> AuditLog {
-        AuditLog { path: state_dir.join("audit.jsonl") }
+    /// The audit log at `state_dir/audit.jsonl`. A final line that a
+    /// crash tore mid-write is sealed first, so the next event starts
+    /// a line of its own instead of being glued to the debris.
+    ///
+    /// # Errors
+    ///
+    /// Returns the filesystem error if the log's torn tail cannot be
+    /// sealed.
+    pub fn open(state_dir: &Path) -> io::Result<AuditLog> {
+        let path = state_dir.join("audit.jsonl");
+        seal_torn_tail(&path)?;
+        Ok(AuditLog { path })
     }
 
     /// Where the log lives.
@@ -96,14 +106,7 @@ impl AuditLog {
             snapshot_version: SNAPSHOT_VERSION,
             detail,
         };
-        let mut serialized = entry.to_json();
-        serialized.push('\n');
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        file.write_all(serialized.as_bytes())?;
-        file.sync_all()
+        append_line(&self.path, &entry.to_json())
     }
 }
 
@@ -112,13 +115,18 @@ mod tests {
     use super::*;
     use std::fs;
 
-    #[test]
-    fn records_are_appended_with_provenance_fields() {
+    fn fresh_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir()
-            .join(format!("tml-audit-{}", std::process::id()));
+            .join(format!("tml-audit-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        let log = AuditLog::open(&dir);
+        dir
+    }
+
+    #[test]
+    fn records_are_appended_with_provenance_fields() {
+        let dir = fresh_dir("append");
+        let log = AuditLog::open(&dir).unwrap();
         log.record("submitted", "exp-000000", 7, "00ff", "fresh").unwrap();
         log.record("run-done", "exp-000000", 7, "00ff", "").unwrap();
         let text = fs::read_to_string(log.path()).unwrap();
@@ -129,6 +137,21 @@ mod tests {
         assert_eq!(first["seed"], 7u64);
         assert_eq!(first["config_hash"], "00ff");
         assert_eq!(first["snapshot_version"], u64::from(SNAPSHOT_VERSION));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn open_seals_a_torn_tail_before_the_next_event() {
+        let dir = fresh_dir("torn");
+        // A SIGKILL mid-append leaves a fragment with no newline.
+        fs::write(dir.join("audit.jsonl"), "{\"unix_ms\":1,\"event\":\"subm").unwrap();
+        let log = AuditLog::open(&dir).unwrap();
+        log.record("run-done", "exp-000001", 9, "abcd", "").unwrap();
+        let text = fs::read_to_string(log.path()).unwrap();
+        let last = text.lines().last().unwrap();
+        let parsed: serde_json::Value = serde_json::from_str(last).unwrap();
+        assert_eq!(parsed["event"], "run-done");
+        assert_eq!(parsed["job"], "exp-000001");
         let _ = fs::remove_dir_all(&dir);
     }
 }

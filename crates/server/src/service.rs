@@ -23,14 +23,15 @@
 //! carries read/write timeouts so no worker blocks past its budget.
 //! [`ServerHandle::drain`] runs the graceful-shutdown sequence: stop
 //! accepting, answer queued connections, cancel the in-flight sweep
-//! (sealing every running cell at its next checkpoint), flush the
-//! journal, exit.
+//! (sealing every running cell at its next checkpoint), exit. Every
+//! journal append is already fsynced, so the drain has nothing left to
+//! flush.
 
 use std::fmt;
 use std::fs;
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -271,7 +272,7 @@ impl ServerHandle {
 /// `--resume`, and spawns the thread pool.
 pub fn start(opts: ServeOptions) -> Result<ServerHandle, StartError> {
     fs::create_dir_all(&opts.state_dir)?;
-    let audit = AuditLog::open(&opts.state_dir);
+    let audit = AuditLog::open(&opts.state_dir)?;
 
     let (store, report) = FileStore::open(&opts.state_dir)?;
     if !report.pending.is_empty() && !opts.resume {
@@ -881,12 +882,4 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> &str {
     } else {
         "non-string panic payload"
     }
-}
-
-/// Reads `addr.txt` from a state dir — how tests and the CLI discover
-/// a server bound to port 0.
-pub fn read_addr_file(state_dir: &Path) -> io::Result<String> {
-    Ok(fs::read_to_string(state_dir.join("addr.txt"))?
-        .trim()
-        .to_string())
 }

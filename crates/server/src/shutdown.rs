@@ -1,6 +1,5 @@
 //! SIGTERM / SIGINT plumbing shared by `treadmill-serve` (graceful
-//! drain) and `treadmill-cli sweep` (seal the checkpoint, flush the
-//! journal, exit).
+//! drain) and `treadmill-cli sweep` (seal the checkpoint, exit).
 //!
 //! The handler does the only async-signal-safe thing possible: it
 //! flips a process-wide [`AtomicBool`]. Everything else — closing
@@ -26,12 +25,6 @@ pub fn requested() -> bool {
 /// The raw flag, for wiring into `SweepControl { cancel, .. }`.
 pub fn flag() -> &'static AtomicBool {
     &REQUESTED
-}
-
-/// Requests shutdown programmatically — the same path a signal takes,
-/// used by tests and by in-process drains.
-pub fn request() {
-    REQUESTED.store(true, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
@@ -76,10 +69,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_sets_flag_and_handlers_install() {
+    fn flag_is_what_requested_reads_and_handlers_install() {
         install();
         assert!(!requested() || flag().load(Ordering::SeqCst));
-        request();
+        flag().store(true, Ordering::SeqCst);
         assert!(requested());
         flag().store(false, Ordering::SeqCst);
     }

@@ -5,13 +5,13 @@
 //! duplicate lines idempotent.
 
 use std::collections::BTreeMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write as _};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 
 use serde::{Deserialize, Serialize};
-use treadmill_core::sweep::seal_torn_tail;
+use treadmill_core::sweep::{append_line, seal_torn_tail};
 
 use crate::job::JobStatus;
 
@@ -123,7 +123,7 @@ impl FileStore {
         let journal = state_dir.join("jobs.jsonl");
         let (state, report) = match fs::read_to_string(&journal) {
             Ok(text) => {
-                seal_torn_tail(&journal, &text)?;
+                seal_torn_tail(&journal)?;
                 replay(&text)
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
@@ -207,36 +207,8 @@ impl FileStore {
         lock(&self.state).jobs.get(id).cloned()
     }
 
-    /// All jobs in id order.
-    pub fn jobs(&self) -> Vec<StoredJob> {
-        lock(&self.state).jobs.values().cloned().collect()
-    }
-
     fn append(&self, line: &JournalLine) -> io::Result<()> {
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.journal)?;
-        let mut serialized =
-            serde_json::to_string(line).map_err(io::Error::other)?;
-        serialized.push('\n');
-        file.write_all(serialized.as_bytes())?;
-        file.sync_all()
-    }
-
-    /// Fsyncs the journal file and its directory — the drain path's
-    /// final flush (appends are already fsynced; this pins the
-    /// directory entry too).
-    pub fn flush(&self) -> io::Result<()> {
-        if let Ok(file) = File::open(&self.journal) {
-            file.sync_all()?;
-        }
-        if let Some(dir) = self.journal.parent() {
-            if let Ok(dir_handle) = File::open(dir) {
-                let _ = dir_handle.sync_all();
-            }
-        }
-        Ok(())
+        append_line(&self.journal, &serde_json::to_string(line).map_err(io::Error::other)?)
     }
 }
 
@@ -384,7 +356,7 @@ mod tests {
         .unwrap();
         let (store, report) = FileStore::open(&dir).unwrap();
         assert_eq!(report.orphan_lines, 1);
-        assert!(store.jobs().is_empty());
+        assert!(lock(&store.state).jobs.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -104,13 +104,6 @@ impl<W: World> Engine<W> {
         self.queue.schedule_in_lane(at, lane, event);
     }
 
-    /// Schedules an event `delay` after the current instant — the common
-    /// case, with no past-check needed (a non-negative offset from `now`
-    /// cannot land in the past).
-    pub fn schedule_after(&mut self, delay: crate::time::SimDuration, event: W::Event) {
-        self.queue.schedule(self.now + delay, event);
-    }
-
     /// Runs until the queue drains.
     ///
     /// Returns the number of events executed by this call.
@@ -198,11 +191,6 @@ impl<W: World> Engine<W> {
         &mut self.queue
     }
 
-    /// True if no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Number of pending events.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
@@ -280,17 +268,7 @@ mod tests {
         engine.schedule(SimTime::ZERO, Ev::Chain(10));
         let n = engine.run_events(5);
         assert_eq!(n, 5);
-        assert!(!engine.is_idle());
-    }
-
-    #[test]
-    fn schedule_after_offsets_from_now() {
-        let mut engine = Engine::with_queue_capacity(Ping { log: vec![] }, 16);
-        engine.schedule(SimTime::from_nanos(40), Ev::Ping(1));
-        engine.run_to_completion();
-        engine.schedule_after(SimDuration::from_nanos(10), Ev::Ping(2));
-        engine.run_to_completion();
-        assert_eq!(engine.world().log, vec![(40, 1), (50, 2)]);
+        assert!(engine.pending_events() > 0);
     }
 
     #[test]

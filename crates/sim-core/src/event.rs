@@ -177,21 +177,10 @@ impl<E> EventQueue<E> {
         self.keys.is_empty()
     }
 
-    /// Total number of events ever scheduled on this queue.
-    pub fn scheduled_total(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.keys.clear();
         self.events.clear();
-    }
-
-    /// Reserves room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.keys.reserve(additional);
-        self.events.reserve(additional);
     }
 
     /// The raw heap slots for checkpointing: packed keys, parallel
@@ -326,10 +315,9 @@ mod tests {
         q.schedule(SimTime::ZERO, 1);
         q.schedule(SimTime::ZERO, 2);
         assert_eq!(q.len(), 2);
-        assert_eq!(q.scheduled_total(), 2);
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.scheduled_total(), 2);
+        assert_eq!(q.next_seq, 2);
     }
 
     #[test]
@@ -412,7 +400,7 @@ mod tests {
                 (a, b) => assert_eq!(a, b),
             }
         }
-        assert_eq!(q.scheduled_total(), restored.scheduled_total());
+        assert_eq!(q.next_seq, restored.next_seq);
     }
 
     #[test]

@@ -27,13 +27,6 @@ pub struct QueueOutcome {
     pub service: SimDuration,
 }
 
-impl QueueOutcome {
-    /// Total sojourn time (queueing + service).
-    pub fn sojourn(&self) -> SimDuration {
-        self.queueing + self.service
-    }
-}
-
 /// An analytic FIFO single-server queue with utilisation accounting.
 ///
 /// # Examples
@@ -112,30 +105,6 @@ impl RateQueue {
         self.free_at
     }
 
-    /// Number of jobs served.
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
-    /// Cumulative busy (service) time.
-    pub fn busy_time(&self) -> SimDuration {
-        self.busy
-    }
-
-    /// Cumulative queueing (waiting) time across all jobs.
-    pub fn total_queueing(&self) -> SimDuration {
-        self.total_queueing
-    }
-
-    /// Mean queueing delay per job, in microseconds.
-    pub fn mean_queueing_micros(&self) -> f64 {
-        if self.jobs == 0 {
-            0.0
-        } else {
-            self.total_queueing.as_micros_f64() / self.jobs as f64
-        }
-    }
-
     /// Utilisation over `[SimTime::ZERO, now]`: busy time divided by
     /// elapsed time, clamped to `[0, 1]`.
     pub fn utilization(&self, now: SimTime) -> f64 {
@@ -144,14 +113,6 @@ impl RateQueue {
             return 0.0;
         }
         (self.busy.as_nanos() as f64 / elapsed as f64).min(1.0)
-    }
-
-    /// Resets counters but keeps the server's `free_at` horizon, so
-    /// measurement windows can be restarted without breaking causality.
-    pub fn reset_counters(&mut self) {
-        self.busy = SimDuration::ZERO;
-        self.jobs = 0;
-        self.total_queueing = SimDuration::ZERO;
     }
 
     /// The mutable state a checkpoint must capture (the name is
@@ -203,7 +164,6 @@ mod tests {
         assert_eq!(out.start, SimTime::from_micros(3));
         assert_eq!(out.departure, SimTime::from_micros(5));
         assert_eq!(out.queueing, SimDuration::ZERO);
-        assert_eq!(out.sojourn(), SimDuration::from_micros(2));
     }
 
     #[test]
@@ -230,10 +190,9 @@ mod tests {
         let mut q = RateQueue::new("q");
         q.offer(SimTime::ZERO, SimDuration::from_micros(10));
         q.offer(SimTime::ZERO, SimDuration::from_micros(10));
-        assert_eq!(q.jobs(), 2);
-        assert_eq!(q.busy_time(), SimDuration::from_micros(20));
-        assert_eq!(q.total_queueing(), SimDuration::from_micros(10));
-        assert_eq!(q.mean_queueing_micros(), 5.0);
+        assert_eq!(q.jobs, 2);
+        assert_eq!(q.busy, SimDuration::from_micros(20));
+        assert_eq!(q.total_queueing, SimDuration::from_micros(10));
         // 20us busy over 40us elapsed = 50% utilisation.
         assert_eq!(q.utilization(SimTime::from_micros(40)), 0.5);
     }
@@ -244,16 +203,5 @@ mod tests {
         q.offer(SimTime::ZERO, SimDuration::from_micros(100));
         assert_eq!(q.utilization(SimTime::from_micros(10)), 1.0);
         assert_eq!(RateQueue::new("idle").utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn reset_counters_keeps_horizon() {
-        let mut q = RateQueue::new("q");
-        q.offer(SimTime::ZERO, SimDuration::from_micros(10));
-        q.reset_counters();
-        assert_eq!(q.jobs(), 0);
-        // Still busy until 10us: a job at 5us must wait.
-        let out = q.offer(SimTime::from_micros(5), SimDuration::from_micros(1));
-        assert_eq!(out.queueing, SimDuration::from_micros(5));
     }
 }

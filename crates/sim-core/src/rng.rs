@@ -69,11 +69,6 @@ impl SeedStream {
         SeedStream { master }
     }
 
-    /// The master seed this factory was created with.
-    pub fn master(&self) -> u64 {
-        self.master
-    }
-
     /// Derives a child factory, e.g. one per experiment.
     pub fn child(&self, label: &str, index: u64) -> SeedStream {
         SeedStream {
@@ -124,7 +119,7 @@ mod tests {
         let c0 = s.child("exp", 0);
         let c1 = s.child("exp", 1);
         assert_ne!(c0.derive("x", 0), c1.derive("x", 0));
-        assert_eq!(c0.master(), s.child("exp", 0).master());
+        assert_eq!(c0, s.child("exp", 0));
     }
 
     #[test]

@@ -385,14 +385,6 @@ impl<'s> SnapshotWriter<'s> {
         self.put_u64(d.as_nanos());
     }
 
-    /// Writes a length-prefixed byte string.
-    #[inline]
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.put_usize(bytes.len());
-        self.buf.extend_from_slice(bytes);
-        self.staged();
-    }
-
     /// Appends raw bytes with no length prefix — for fixed-layout
     /// structs encoded into a stack buffer first, so a hot serialisation
     /// loop costs one capacity check per struct instead of one per
@@ -541,16 +533,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(SimDuration::from_nanos(self.get_u64()?))
     }
 
-    /// Reads a length-prefixed byte string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::Truncated`] if the payload ends early.
-    #[inline]
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let len = self.get_usize()?;
-        self.take(len)
-    }
 }
 
 #[cfg(test)]
@@ -579,7 +561,6 @@ mod tests {
             w.put_f64(f64::from_bits(0x7ff8_dead_beef_0001)); // NaN payload
             w.put_time(SimTime::from_nanos(42));
             w.put_duration(SimDuration::from_micros(7));
-            w.put_bytes(b"payload");
         });
 
         let mut r = SnapshotReader::new(open(&sealed).unwrap());
@@ -593,7 +574,6 @@ mod tests {
         assert_eq!(r.get_f64().unwrap().to_bits(), 0x7ff8_dead_beef_0001);
         assert_eq!(r.get_time().unwrap(), SimTime::from_nanos(42));
         assert_eq!(r.get_duration().unwrap(), SimDuration::from_micros(7));
-        assert_eq!(r.get_bytes().unwrap(), b"payload");
         r.finish().unwrap();
     }
 
@@ -680,7 +660,8 @@ mod tests {
                 w.put_raw(chunk);
                 w.put_u8(0xA5);
             }
-            w.put_bytes(head);
+            w.put_usize(head.len());
+            w.put_raw(head);
             assert_eq!(w.len(), payload.len());
             assert_eq!(w.finish_streamed().unwrap(), sealed.len() as u64);
             assert_eq!(sink.into_inner(), sealed, "payload length {len}");

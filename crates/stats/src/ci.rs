@@ -1,6 +1,6 @@
-//! Confidence intervals for means and quantiles.
+//! Confidence intervals for means.
 
-use crate::distribution::{normal_cdf, normal_quantile};
+use crate::distribution::normal_quantile;
 use crate::streaming::StreamingStats;
 
 /// A two-sided confidence interval.
@@ -63,60 +63,9 @@ pub fn mean_confidence_interval(stats: &StreamingStats, level: f64) -> Confidenc
     }
 }
 
-/// Distribution-free confidence interval for the `p`-quantile of a
-/// **sorted** sample, based on the binomial distribution of order
-/// statistics (normal approximation to the binomial rank).
-///
-/// # Panics
-///
-/// Panics if `sorted` is empty, `p` outside `(0, 1)`, or `level` outside
-/// `(0, 1)`.
-// Rank arithmetic truncates deliberately: ranks are clamped into
-// [0, n-1] right after the cast.
-#[allow(clippy::cast_possible_truncation)]
-pub fn quantile_confidence_interval(
-    sorted: &[f64],
-    p: f64,
-    level: f64,
-) -> ConfidenceInterval {
-    assert!(!sorted.is_empty(), "confidence interval of empty sample");
-    assert!(p > 0.0 && p < 1.0, "quantile probability outside (0, 1)");
-    assert!(level > 0.0 && level < 1.0, "confidence level outside (0, 1)");
-    let n = sorted.len() as f64;
-    let z = normal_quantile(0.5 + level / 2.0);
-    let se = (n * p * (1.0 - p)).sqrt();
-    let lower_rank = ((n * p - z * se).floor().max(0.0)) as usize;
-    let upper_rank = ((n * p + z * se).ceil() as usize).min(sorted.len() - 1);
-    let estimate = crate::quantile::quantile_of_sorted(sorted, p);
-    ConfidenceInterval {
-        estimate,
-        lower: sorted[lower_rank.min(sorted.len() - 1)],
-        upper: sorted[upper_rank],
-        level,
-    }
-}
-
-/// The achieved coverage probability of the order-statistic interval
-/// `[lower_rank, upper_rank]` for the `p`-quantile of an `n`-sample
-/// (normal approximation). Exposed for interval-design diagnostics.
-pub fn order_statistic_coverage(n: usize, p: f64, lower_rank: usize, upper_rank: usize) -> f64 {
-    let n = n as f64;
-    let mean = n * p;
-    let sd = (n * p * (1.0 - p)).sqrt();
-    if sd == 0.0 {
-        return 1.0;
-    }
-    let hi = (upper_rank as f64 + 0.5 - mean) / sd;
-    let lo = (lower_rank as f64 - 0.5 - mean) / sd;
-    (normal_cdf(hi) - normal_cdf(lo)).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::sample_exponential;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     #[test]
     fn mean_ci_shrinks_with_samples() {
@@ -137,33 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn quantile_ci_brackets_truth() {
-        // Exponential(10): true p90 = 10 ln 10 ≈ 23.03.
-        let mut rng = SmallRng::seed_from_u64(11);
-        let mut hits = 0;
-        let trials = 50;
-        for _ in 0..trials {
-            let mut data: Vec<f64> =
-                (0..2_000).map(|_| sample_exponential(&mut rng, 10.0)).collect();
-            data.sort_by(f64::total_cmp);
-            let ci = quantile_confidence_interval(&data, 0.9, 0.95);
-            if ci.contains(10.0 * 10.0f64.ln()) {
-                hits += 1;
-            }
-        }
-        // Should cover ~95% of the time; allow slack for 50 trials.
-        assert!(hits >= 42, "coverage {hits}/{trials}");
-    }
-
-    #[test]
-    fn coverage_increases_with_interval_width() {
-        let narrow = order_statistic_coverage(1000, 0.9, 895, 905);
-        let wide = order_statistic_coverage(1000, 0.9, 870, 930);
-        assert!(wide > narrow);
-        assert!(wide <= 1.0 && narrow >= 0.0);
-    }
-
-    #[test]
     fn relative_half_width() {
         let ci = ConfidenceInterval {
             estimate: 100.0,
@@ -176,9 +98,4 @@ mod tests {
         assert!(!ci.contains(89.0));
     }
 
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_sample_panics() {
-        quantile_confidence_interval(&[], 0.5, 0.95);
-    }
 }

@@ -41,10 +41,11 @@ impl std::error::Error for SolveError {}
 /// ```
 /// use treadmill_stats::linalg::Matrix;
 ///
-/// let identity = Matrix::identity(3);
-/// let b = vec![1.0, 2.0, 3.0];
-/// let x = identity.solve(&b)?;
-/// assert_eq!(x, b);
+/// let mut a = Matrix::zeros(2, 2);
+/// a[(0, 0)] = 2.0;
+/// a[(1, 1)] = 4.0;
+/// let x = a.solve(&[2.0, 2.0])?;
+/// assert_eq!(x, vec![1.0, 0.5]);
 /// # Ok::<(), treadmill_stats::linalg::SolveError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +66,7 @@ impl Matrix {
     }
 
     /// Creates the identity matrix of order `n`.
+    #[cfg(test)]
     pub fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
@@ -78,6 +80,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
+    #[cfg(test)]
     pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "row-major data length mismatch");
         Matrix { rows, cols, data }

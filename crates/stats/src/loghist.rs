@@ -118,11 +118,6 @@ impl LogHistogram {
         }
     }
 
-    /// Values recorded above the configured range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Estimates the `p`-quantile with the configured relative error.
     ///
     /// # Panics
@@ -188,23 +183,6 @@ impl LogHistogram {
         }
     }
 
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if geometries differ.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        assert_eq!(self.counts.len(), other.counts.len(), "geometry mismatch");
-        assert!((self.min - other.min).abs() < 1e-12, "geometry mismatch");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max_seen = self.max_seen.max(other.max_seen);
-    }
 }
 
 /// A [`LogHistogram`]'s full state, captured for checkpointing.
@@ -295,7 +273,7 @@ mod tests {
         }
         let p90 = hist.quantile(0.9);
         assert!(p90 > 90_000.0, "p90 {p90} must reflect the shifted mass");
-        assert_eq!(hist.overflow(), 0);
+        assert_eq!(hist.overflow, 0);
     }
 
     #[test]
@@ -305,31 +283,9 @@ mod tests {
         hist.record(1_000.0);
         hist.record(50.0);
         assert_eq!(hist.count(), 3);
-        assert_eq!(hist.overflow(), 1);
+        assert_eq!(hist.overflow, 1);
         // p=1.0 returns the exact max even when it overflowed.
         assert_eq!(hist.quantile(1.0), 1_000.0);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = LogHistogram::new(1.0, 1e4, 0.05);
-        let mut b = LogHistogram::new(1.0, 1e4, 0.05);
-        for i in 1..=100 {
-            a.record(f64::from(i));
-            b.record(f64::from(i * 10));
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 200);
-        let p50 = a.quantile(0.5);
-        assert!(p50 > 80.0 && p50 < 130.0, "merged median {p50}");
-    }
-
-    #[test]
-    #[should_panic(expected = "geometry mismatch")]
-    fn merge_rejects_different_geometry() {
-        let mut a = LogHistogram::new(1.0, 1e4, 0.05);
-        let b = LogHistogram::new(1.0, 1e5, 0.05);
-        a.merge(&b);
     }
 
     proptest! {

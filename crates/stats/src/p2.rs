@@ -71,11 +71,6 @@ impl P2Quantile {
         }
     }
 
-    /// The target probability.
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-
     /// Number of samples observed.
     pub fn count(&self) -> usize {
         self.count

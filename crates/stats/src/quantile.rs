@@ -75,28 +75,6 @@ pub fn quantiles(samples: &[f64], ps: &[f64]) -> Vec<f64> {
     ps.iter().map(|&p| quantile_of_sorted(&sorted, p)).collect()
 }
 
-/// The empirical CDF evaluated at `x`: the fraction of samples `<= x`.
-///
-/// `sorted` must be sorted ascending.
-///
-/// # Examples
-///
-/// ```
-/// use treadmill_stats::quantile::ecdf_of_sorted;
-///
-/// let data = [1.0, 2.0, 3.0, 4.0];
-/// assert_eq!(ecdf_of_sorted(&data, 2.5), 0.5);
-/// assert_eq!(ecdf_of_sorted(&data, 0.0), 0.0);
-/// assert_eq!(ecdf_of_sorted(&data, 9.0), 1.0);
-/// ```
-pub fn ecdf_of_sorted(sorted: &[f64], x: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let count = sorted.partition_point(|&v| v <= x);
-    count as f64 / sorted.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,13 +117,6 @@ mod tests {
         quantile_of_sorted(&[1.0], 1.5);
     }
 
-    #[test]
-    fn ecdf_counts_inclusive() {
-        let data = [1.0, 1.0, 2.0];
-        assert!((ecdf_of_sorted(&data, 1.0) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(ecdf_of_sorted(&[], 5.0), 0.0);
-    }
-
     proptest! {
         #[test]
         fn quantile_is_monotone_in_p(
@@ -169,16 +140,5 @@ mod tests {
             prop_assert!(q <= data[data.len() - 1] + 1e-9);
         }
 
-        #[test]
-        fn ecdf_and_quantile_are_near_inverse(
-            mut data in prop::collection::vec(0.0f64..1e3, 10..200),
-            p in 0.05f64..0.95,
-        ) {
-            data.sort_by(f64::total_cmp);
-            let q = quantile_of_sorted(&data, p);
-            let back = ecdf_of_sorted(&data, q);
-            // ECDF jumps in 1/n steps, so allow one-step slack.
-            prop_assert!((back - p).abs() <= 1.5 / data.len() as f64 + 1e-9);
-        }
     }
 }

@@ -23,10 +23,6 @@ pub struct OlsFit {
 }
 
 impl OlsFit {
-    /// The raw coefficient vector, in design-term order.
-    pub fn coefficient_values(&self) -> Vec<f64> {
-        self.coefficients.iter().map(|c| c.estimate).collect()
-    }
 }
 
 /// Fits `y = Xβ + ε` by least squares.

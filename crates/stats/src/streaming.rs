@@ -13,7 +13,7 @@
 /// }
 /// assert_eq!(stats.count(), 8);
 /// assert!((stats.mean() - 5.0).abs() < 1e-12);
-/// assert!((stats.population_variance() - 4.0).abs() < 1e-12);
+/// assert!((stats.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StreamingStats {
@@ -55,15 +55,6 @@ impl StreamingStats {
     /// Arithmetic mean, or 0 if empty.
     pub fn mean(&self) -> f64 {
         self.mean
-    }
-
-    /// Population variance (divides by `n`), or 0 if empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
     }
 
     /// Sample variance (divides by `n - 1`), or 0 if fewer than two
@@ -125,25 +116,6 @@ impl StreamingStats {
         }
     }
 
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &StreamingStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// A [`StreamingStats`] accumulator's full state, captured for
@@ -204,31 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_combined_stream() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64 * 0.7).sin() * 10.0 + 5.0).collect();
-        let combined: StreamingStats = data.iter().copied().collect();
-        let mut left: StreamingStats = data[..37].iter().copied().collect();
-        let right: StreamingStats = data[37..].iter().copied().collect();
-        left.merge(&right);
-        assert_eq!(left.count(), combined.count());
-        assert!((left.mean() - combined.mean()).abs() < 1e-9);
-        assert!((left.sample_variance() - combined.sample_variance()).abs() < 1e-9);
-        assert_eq!(left.min(), combined.min());
-        assert_eq!(left.max(), combined.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: StreamingStats = [1.0, 2.0].into_iter().collect();
-        let before = s.clone();
-        s.merge(&StreamingStats::new());
-        assert_eq!(s, before);
-        let mut empty = StreamingStats::new();
-        empty.merge(&before);
-        assert_eq!(empty, before);
-    }
-
-    #[test]
     fn state_round_trip_is_bit_identical() {
         let mut original = StreamingStats::new();
         for i in 0..7_777 {
@@ -267,24 +214,8 @@ mod tests {
         #[test]
         fn variance_is_nonnegative(data in prop::collection::vec(-1e6f64..1e6, 0..200)) {
             let s: StreamingStats = data.iter().copied().collect();
-            prop_assert!(s.population_variance() >= -1e-9);
             prop_assert!(s.sample_variance() >= -1e-9);
         }
 
-        #[test]
-        fn merge_is_order_insensitive(
-            a in prop::collection::vec(-1e3f64..1e3, 0..50),
-            b in prop::collection::vec(-1e3f64..1e3, 0..50),
-        ) {
-            let sa: StreamingStats = a.iter().copied().collect();
-            let sb: StreamingStats = b.iter().copied().collect();
-            let mut ab = sa.clone();
-            ab.merge(&sb);
-            let mut ba = sb.clone();
-            ba.merge(&sa);
-            prop_assert_eq!(ab.count(), ba.count());
-            prop_assert!((ab.mean() - ba.mean()).abs() < 1e-9);
-            prop_assert!((ab.m2 - ba.m2).abs() < 1e-6);
-        }
     }
 }

@@ -40,14 +40,12 @@
 
 mod mcrouter;
 mod memcached;
-mod popularity;
 mod profile;
 mod sizes;
 mod spec;
 mod synthetic;
 
 pub use mcrouter::Mcrouter;
-pub use popularity::ZipfSampler;
 pub use memcached::{Memcached, MemcachedOp};
 pub use profile::{OpClass, RequestProfile, ServiceMoments, Workload};
 pub use sizes::SizeDistribution;

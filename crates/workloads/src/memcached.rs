@@ -63,8 +63,7 @@ pub struct Memcached {
     /// Service-time multiplier on the slow path.
     pub slow_multiplier: f64,
     /// Fraction of GETs that hit the cache. Misses skip the value copy
-    /// (cheap response) but still pay the lookup. Derive it from a key
-    /// popularity distribution with [`Memcached::with_popularity`].
+    /// (cheap response) but still pay the lookup.
     pub hit_rate: f64,
 }
 
@@ -101,39 +100,6 @@ impl Default for Memcached {
 }
 
 impl Memcached {
-    /// A read-heavy variant (99% GETs), matching Facebook's hottest
-    /// pools.
-    pub fn read_heavy() -> Self {
-        Memcached {
-            get_fraction: 0.99,
-            ..Default::default()
-        }
-    }
-
-    /// A write-heavy variant (50% SETs), the stress case for value
-    /// copies.
-    pub fn write_heavy() -> Self {
-        Memcached {
-            get_fraction: 0.5,
-            ..Default::default()
-        }
-    }
-
-    /// Derives the hit rate from a Zipf key-popularity model: `keys`
-    /// distinct keys with skew `exponent`, of which the hottest
-    /// `cached_keys` fit in memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys` is zero or `exponent` is negative.
-    pub fn with_popularity(keys: u64, exponent: f64, cached_keys: u64) -> Self {
-        let zipf = crate::popularity::ZipfSampler::new(keys, exponent);
-        Memcached {
-            hit_rate: zipf.hit_rate(cached_keys),
-            ..Default::default()
-        }
-    }
-
     fn sample_op(&self, rng: &mut dyn RngCore) -> MemcachedOp {
         use rand::Rng;
         if rng.gen::<f64>() < self.get_fraction {
@@ -349,12 +315,14 @@ mod tests {
     #[test]
     fn variants_shift_the_mix() {
         let mut rng = SmallRng::seed_from_u64(5);
-        let heavy = Memcached::write_heavy();
+        let heavy = Memcached {
+            get_fraction: 0.5,
+            ..Default::default()
+        };
         let writes = (0..10_000)
             .filter(|_| heavy.sample_request(&mut rng).class == OpClass::Write)
             .count();
         assert!((writes as f64 / 10_000.0 - 0.5).abs() < 0.02);
-        assert!(Memcached::read_heavy().get_fraction > 0.98);
     }
 
     #[test]
@@ -437,13 +405,4 @@ mod tests {
         assert!((resp / f64::from(n) / m.response_bytes - 1.0).abs() < 0.05);
     }
 
-    #[test]
-    fn popularity_derived_hit_rate() {
-        // A tiny cache over a skewed key space still catches most
-        // traffic; a huge cache catches ~all of it.
-        let small = Memcached::with_popularity(1_000_000, 1.0, 10_000);
-        let large = Memcached::with_popularity(1_000_000, 1.0, 1_000_000);
-        assert!(small.hit_rate > 0.5 && small.hit_rate < 0.95, "{}", small.hit_rate);
-        assert!(large.hit_rate > 0.99);
-    }
 }

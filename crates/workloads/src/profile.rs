@@ -50,6 +50,7 @@ pub struct RequestProfile {
 impl RequestProfile {
     /// Total service demand at base frequency with local memory, in
     /// nanoseconds.
+    #[cfg(test)]
     pub fn base_service_ns(&self) -> f64 {
         self.cpu_ns + self.mem_ns
     }
