@@ -11,7 +11,7 @@
 
 use treadmill_cluster::ResponseRecord;
 use treadmill_stats::quantile::quantile_of_sorted;
-use treadmill_stats::summary::{aggregate_mean, aggregate_median};
+use treadmill_stats::summary::aggregate_mean;
 use treadmill_stats::LatencySummary;
 
 /// How to combine per-instance metrics.
@@ -20,9 +20,6 @@ pub enum AggregationMethod {
     /// Mean of each metric across instances (the paper's default).
     #[default]
     Mean,
-    /// Median of each metric across instances (robust to one bad
-    /// client).
-    Median,
 }
 
 /// Aggregates per-instance summaries the correct way.
@@ -33,7 +30,6 @@ pub enum AggregationMethod {
 pub fn aggregate(summaries: &[LatencySummary], method: AggregationMethod) -> LatencySummary {
     match method {
         AggregationMethod::Mean => aggregate_mean(summaries),
-        AggregationMethod::Median => aggregate_median(summaries),
     }
 }
 
@@ -135,22 +131,6 @@ pub fn latencies_per_client(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn constant_summaries(values: &[f64]) -> Vec<LatencySummary> {
-        values
-            .iter()
-            .map(|&v| LatencySummary::from_samples(&[v; 10]))
-            .collect()
-    }
-
-    #[test]
-    fn mean_and_median_aggregation() {
-        let summaries = constant_summaries(&[100.0, 100.0, 100.0, 500.0]);
-        let mean = aggregate(&summaries, AggregationMethod::Mean);
-        let median = aggregate(&summaries, AggregationMethod::Median);
-        assert_eq!(mean.p99, 200.0);
-        assert_eq!(median.p99, 100.0);
-    }
 
     #[test]
     fn holistic_pooling_biased_by_outlier_client() {

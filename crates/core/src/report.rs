@@ -130,9 +130,11 @@ pub fn health_warnings(report: &LoadTestReport, target_rps: f64) -> Vec<String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::OpenLoopSource;
+    use crate::interarrival::InterArrival;
     use crate::runner::LoadTest;
     use std::sync::Arc;
-    use treadmill_cluster::ClientSpec;
+    use treadmill_cluster::{ClientSpec, ClusterBuilder};
     use treadmill_sim_core::SimDuration;
     use treadmill_workloads::Memcached;
 
@@ -161,17 +163,26 @@ mod tests {
     fn overloaded_client_is_flagged() {
         let rps = 400_000.0;
         // One heavy client: per-op 4us × 2 ops × 400k = 3.2x a core.
-        let report = LoadTest::new(Arc::new(Memcached::default()), rps)
-            .clients(1)
-            .client_spec(ClientSpec {
-                send_cpu_ns: 4_000.0,
-                recv_cpu_ns: 4_000.0,
-                ..Default::default()
-            })
-            .duration(SimDuration::from_millis(120))
-            .warmup(SimDuration::from_millis(30))
+        // `LoadTest` always runs the default client machine, so the
+        // cluster is built here and reported through the same path.
+        let result = ClusterBuilder::new(Arc::new(Memcached::default()))
             .seed(4)
-            .run(0);
+            .duration(SimDuration::from_millis(120))
+            .client(
+                ClientSpec {
+                    send_cpu_ns: 4_000.0,
+                    recv_cpu_ns: 4_000.0,
+                    ..Default::default()
+                },
+                Box::new(OpenLoopSource::new(
+                    InterArrival::Exponential { rate_rps: rps },
+                    16,
+                )),
+            )
+            .run();
+        let report = LoadTest::new(Arc::new(Memcached::default()), rps)
+            .warmup(SimDuration::from_millis(30))
+            .report_from_result(result);
         let warnings = health_warnings(&report, rps);
         assert!(
             warnings.iter().any(|w| w.contains("client-side queueing")),

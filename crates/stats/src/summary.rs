@@ -144,37 +144,6 @@ pub fn aggregate_mean(summaries: &[LatencySummary]) -> LatencySummary {
     }
 }
 
-/// Aggregates per-client summaries by the **median** across clients,
-/// the robust alternative the paper mentions for outlier clients.
-///
-/// # Panics
-///
-/// Panics if `summaries` is empty.
-pub fn aggregate_median(summaries: &[LatencySummary]) -> LatencySummary {
-    assert!(!summaries.is_empty(), "aggregating zero summaries");
-    fn median_of(values: &mut [f64]) -> f64 {
-        values.sort_by(f64::total_cmp);
-        quantile_of_sorted(values, 0.5)
-    }
-    let mut means: Vec<f64> = summaries.iter().map(|s| s.mean).collect();
-    let mut p50s: Vec<f64> = summaries.iter().map(|s| s.p50).collect();
-    let mut p90s: Vec<f64> = summaries.iter().map(|s| s.p90).collect();
-    let mut p95s: Vec<f64> = summaries.iter().map(|s| s.p95).collect();
-    let mut p99s: Vec<f64> = summaries.iter().map(|s| s.p99).collect();
-    let mut p999s: Vec<f64> = summaries.iter().map(|s| s.p999).collect();
-    LatencySummary {
-        count: summaries.iter().map(|s| s.count).sum(),
-        mean: median_of(&mut means),
-        p50: median_of(&mut p50s),
-        p90: median_of(&mut p90s),
-        p95: median_of(&mut p95s),
-        p99: median_of(&mut p99s),
-        p999: median_of(&mut p999s),
-        min: summaries.iter().map(|s| s.min).fold(f64::INFINITY, f64::min),
-        max: summaries.iter().map(|s| s.max).fold(f64::NEG_INFINITY, f64::max),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,21 +198,6 @@ mod tests {
         assert_eq!(agg.count, 20);
         assert_eq!(agg.min, 100.0);
         assert_eq!(agg.max, 200.0);
-    }
-
-    #[test]
-    fn median_aggregation_resists_outlier_client() {
-        // Three well-behaved clients and one cross-rack outlier (Fig. 2).
-        let summaries = vec![
-            summary_of_constant(100.0, 10),
-            summary_of_constant(102.0, 10),
-            summary_of_constant(98.0, 10),
-            summary_of_constant(1_000.0, 10),
-        ];
-        let mean_agg = aggregate_mean(&summaries);
-        let median_agg = aggregate_median(&summaries);
-        assert!(mean_agg.p99 > 300.0, "mean is dragged by the outlier");
-        assert!(median_agg.p99 < 110.0, "median resists the outlier");
     }
 
     #[test]
